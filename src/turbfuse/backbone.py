@@ -86,6 +86,19 @@ class BackboneParams:
         return b"".join(t.data.tobytes() for t in self.tensors().values())
 
 
+# Images per conv pass when no tape is recorded. The conv stages act image
+# by image, so chunking them is bitwise-equal to one pass and bounds the
+# im2col buffers; the dense layer still sees the whole stack at once.
+EMBED_CHUNK = 8
+
+
+def _conv_stages(x, p: BackboneParams):
+    pad = p.cfg.kernel // 2
+    for w, b in zip(p.conv_w, p.conv_b):
+        x = T.avg_pool2x2(T.relu(T.conv2d(x, w, b, padding=pad)))
+    return x
+
+
 def embed(images, p: BackboneParams):
     """Map (B, H, W) images to (B, D) embeddings (unnormalized)."""
     if not isinstance(images, Tensor):
@@ -95,9 +108,11 @@ def embed(images, p: BackboneParams):
         raise ConfigError(f"expected (B, {cfg.image_size}, {cfg.image_size}) images, got {images.shape}")
     bsz = images.shape[0]
     x = T.reshape(images, (bsz, 1, cfg.image_size, cfg.image_size))
-    pad = cfg.kernel // 2
-    for w, b in zip(p.conv_w, p.conv_b):
-        x = T.avg_pool2x2(T.relu(T.conv2d(x, w, b, padding=pad)))
+    if T.grad_enabled() or bsz <= EMBED_CHUNK:
+        x = _conv_stages(x, p)
+    else:
+        chunks = [_conv_stages(Tensor(x.data[i : i + EMBED_CHUNK]), p).data for i in range(0, bsz, EMBED_CHUNK)]
+        x = Tensor(np.concatenate(chunks))
     x = T.reshape(x, (bsz, cfg.flat_dim))
     return T.linear(x, p.dense_w, p.dense_b)
 

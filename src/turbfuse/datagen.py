@@ -252,8 +252,10 @@ def make_pairs(manifest: DatasetManifest, split, n_genuine, n_impostor, seed=0):
     guard = 0
     while len(impostor) < n_impostor:
         la, lb = rng.choice(len(labels), size=2, replace=False)
-        i = int(rng.choice(by_label[labels[la]]))
-        j = int(rng.choice(by_label[labels[lb]]))
+        # same stream as rng.choice(lst), at a fraction of its per-call cost
+        ids_a, ids_b = by_label[labels[la]], by_label[labels[lb]]
+        i = ids_a[int(rng.integers(len(ids_a)))]
+        j = ids_b[int(rng.integers(len(ids_b)))]
         guard += not add(impostor, i, j, False)
         if guard > 100 * n_impostor + 1000:
             raise ContractError("not enough distinct impostor pairs available")

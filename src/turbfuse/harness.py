@@ -20,7 +20,7 @@ from . import tensor as T
 from .backbone import BackboneConfig, BackboneParams, embed, pretrain
 from .config import config_hash
 from .datagen import DatasetManifest, load_images, make_pairs, synth_dataset
-from .errors import ContractError, DependencyError, EvaluationError
+from .errors import ContractError, DependencyError, EvaluationError, TrainingError
 from .fusion import FusionConfig, FusionParams
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .metrics import ScoreSet, VerificationReport, tar_at_far, top_k_hits, verification_accuracy
@@ -41,9 +41,15 @@ def pct(x):
 
 
 def version_string():
+    """Package version plus ``git describe`` of the checkout the package
+    lives in, whatever the process's working directory."""
     try:
         desc = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], capture_output=True, text=True, timeout=5
+            ["git", "describe", "--always", "--dirty"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            cwd=Path(__file__).resolve().parent,
         )
         suffix = desc.stdout.strip()
     except (OSError, subprocess.SubprocessError):
@@ -291,7 +297,8 @@ def cmd_train(cfg, out_dir=None):
     before = frozen.state_bytes()
     tcfg = _train_cfg(cfg)
     result = train_adapter(lq, restored, labels, frozen, _fusion_cfg(cfg), _margin(cfg), tcfg)
-    assert frozen.state_bytes() == before  # freeze contract
+    if frozen.state_bytes() != before:
+        raise TrainingError(f"freeze contract broken: {tcfg.strategy} training changed the frozen backbone")
     dest = out / "train" / tcfg.strategy
     dest.mkdir(parents=True, exist_ok=True)
     arrays = {}
@@ -367,7 +374,8 @@ def evaluate_strategy(cfg, strategy, manifest, frozen, result, clean_test, lq_te
     for i, lbl in enumerate(labels_test):
         first_idx.setdefault(int(lbl), i)
     g_idx = sorted(first_idx.values())
-    p_idx = [i for i in range(len(labels_test)) if i not in set(g_idx)]
+    g_set = set(g_idx)
+    p_idx = [i for i in range(len(labels_test)) if i not in g_set]
     ranks = {
         k: top_k_hits(probe_embs[p_idx], labels_test[p_idx], gallery_embs[g_idx], labels_test[g_idx], k)
         for k in e["top_ks"]

@@ -503,8 +503,25 @@ def avg_pool2x2(x):
     bsz, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2x2 needs even spatial dims, got {h}x{w}")
-    r = reshape(x, (bsz, c, h // 2, 2, w // 2, 2))
-    return tensor_mean(r, axis=(3, 5))
+    xd = x.data
+    x00, x01 = xd[:, :, 0::2, 0::2], xd[:, :, 0::2, 1::2]
+    x10, x11 = xd[:, :, 1::2, 0::2], xd[:, :, 1::2, 1::2]
+    # the summation order numpy's reshape-mean uses, so results stay bitwise
+    if w == 2:
+        out_data = (((x00 + x01) + x10) + x11) * 0.25
+    else:
+        out_data = ((x00 + x01) + (x10 + x11)) * 0.25
+
+    def backward(g, out=None):
+        if x.requires_grad:
+            gx = np.empty_like(xd)
+            gq = g * 0.25
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    gx[:, :, dy::2, dx::2] = gq
+            x._accumulate(gx)
+
+    return _make(out_data, (x,), backward)
 
 
 # -- backward pass ------------------------------------------------------------

@@ -50,6 +50,19 @@ class TestEmbed:
         err = finite_diff_check(f, list(p.tensors().values()), eps=1e-5, samples_per_tensor=6, seed=0)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("bsz", [1, 7, 8, 9, 33])
+    def test_no_grad_equals_taped_bitwise(self, bsz):
+        rng = np.random.default_rng(4)
+        p = BackboneParams.init(rng, BackboneConfig(image_size=32, channels=(8, 16, 32), embed_dim=16))
+        imgs = rng.random((bsz, 32, 32)).astype(np.float32)
+        taped = embed(imgs, p)
+        assert taped.requires_grad
+        with T.no_grad():
+            plain = embed(imgs, p)
+        assert not plain.requires_grad
+        assert plain.data.dtype == taped.data.dtype
+        assert plain.data.tobytes() == taped.data.tobytes()
+
 
 class TestClone:
     def test_clone_outputs_bitwise_identical(self):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -120,3 +123,16 @@ class TestMakePairs:
         m = dg.synth_dataset(tmp_path / "tiny", 4, 2, image_size=16, seed=6)
         with pytest.raises(ContractError):
             dg.make_pairs(m, "test", 4, 4, seed=0)
+
+    def test_pair_stream_pinned(self):
+        # any change to the RNG draws behind the pairs changes this digest
+        images = [
+            dg.ManifestImage(path=f"images/id{lbl:04d}_{k:03d}.fat", label=lbl, split="train" if lbl < 2 else "test", seed=k)
+            for lbl in range(8)
+            for k in range(7)
+        ]
+        manifest = dg.DatasetManifest(images=images, config_hash="fixed")
+        pairs = dg.make_pairs(manifest, "test", 60, 300, seed=11)
+        blob = json.dumps([[p.index_a, p.index_b, p.genuine] for p in pairs]).encode()
+        assert len(pairs) == 360
+        assert hashlib.sha256(blob).hexdigest() == "452aa026dc2c617b394a7d12cbd8f0a9d37de29006f057a06fb480954b8a6598"

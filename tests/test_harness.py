@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from turbfuse import harness
 from turbfuse.config import load_config
-from turbfuse.harness import _turb_params, cmd_degrade, cmd_synth
+from turbfuse.errors import TrainingError
+from turbfuse.harness import _turb_params, cmd_degrade, cmd_pretrain, cmd_restore, cmd_synth, cmd_train
 
 
 @pytest.fixture
@@ -15,6 +18,12 @@ def tiny_cfg(tmp_path):
         "dataset.n_test_identities=2",
         "dataset.test_per_identity=2",
         "dataset.image_size=16",
+        "backbone.channels=[4, 8]",
+        "backbone.embed_dim=8",
+        "fusion.n_heads=2",
+        "fusion.ffn_hidden=16",
+        "train.epochs=1",
+        "train.batch_size=4",
     ]
     return load_config(sets=sets)
 
@@ -25,3 +34,27 @@ class TestDegradeProvenance:
         report = cmd_degrade(tiny_cfg)
         prov = json.loads((tmp_path / "degraded" / report["level"] / "provenance.json").read_text())
         assert prov["tilt_rms_px"] == pytest.approx(_turb_params(tiny_cfg).tilt_rms_px, rel=1e-12)
+
+
+class TestFreezeContract:
+    def test_mutated_frozen_branch_raises(self, tiny_cfg, monkeypatch):
+        for cmd in (cmd_synth, cmd_degrade, cmd_restore, cmd_pretrain):
+            cmd(tiny_cfg)
+        real = harness.train_adapter
+
+        def mutating(lq, restored, labels, frozen, *args):
+            result = real(lq, restored, labels, frozen, *args)
+            frozen.conv_w[0].data[0, 0, 0, 0] += 1.0
+            return result
+
+        monkeypatch.setattr(harness, "train_adapter", mutating)
+        with pytest.raises(TrainingError, match="freeze contract"):
+            cmd_train(tiny_cfg)
+
+
+class TestVersionString:
+    def test_independent_of_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(Path(harness.__file__).resolve().parent)
+        from_package = harness.version_string()
+        monkeypatch.chdir(tmp_path)
+        assert harness.version_string() == from_package

@@ -25,6 +25,32 @@ def brute_force_accuracy(scores, labels):
     return best
 
 
+def brute_force_kfold(scores, labels, n_folds):
+    """Oracle: per fold, the lowest midpoint threshold that scores best on
+    the other folds by exhaustive enumeration, applied to the held fold."""
+    scores, labels = np.asarray(scores), np.asarray(labels)
+    accs, thresholds = [], []
+    for held in np.array_split(np.arange(len(scores)), n_folds):
+        train = np.setdiff1d(np.arange(len(scores)), held)
+        uniq = sorted(set(scores[train].tolist()))
+        cands = [uniq[0] - 1.0] + [(a + b) / 2 for a, b in zip(uniq, uniq[1:])] + [uniq[-1] + 1.0]
+        train_accs = [np.mean((scores[train] >= t) == labels[train]) for t in cands]
+        best = cands[train_accs.index(max(train_accs))]
+        thresholds.append(best)
+        accs.append(np.mean((scores[held] >= best) == labels[held]))
+    return float(np.mean(accs)), thresholds
+
+
+def tie_heavy_scores(rng, n):
+    """Scores rounded to 1-2 decimals, with at least 10 of each class."""
+    scores = np.round(rng.random(n), int(rng.integers(1, 3)))
+    labels = rng.random(n) < rng.uniform(0.3, 0.7)
+    labels[:10] = True
+    labels[10:20] = False
+    rng.shuffle(labels)
+    return scores, labels
+
+
 def brute_force_tar(genuine, impostor, far):
     """Oracle: scan impostor-score thresholds smallest-first."""
     for t in sorted(set(impostor)):
@@ -94,6 +120,15 @@ class TestVerificationAccuracy:
         a2, _ = verification_accuracy(s2, n_folds=3)
         assert a1 == pytest.approx(a2)
 
+    def test_equals_brute_force_ten_folds_tie_heavy(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            scores, labels = tie_heavy_scores(rng, int(rng.integers(20, 200)))
+            acc, thresholds = verification_accuracy(ScoreSet(scores, labels), n_folds=10)
+            ref_acc, ref_thresholds = brute_force_kfold(scores, labels, 10)
+            assert acc == ref_acc
+            assert thresholds == ref_thresholds
+
     def test_insufficient_scores_rejected(self):
         s = ScoreSet(np.array([0.5, 0.4, 0.3]), np.array([1, 0, 0], dtype=bool))
         with pytest.raises(ContractError):
@@ -132,6 +167,14 @@ class TestTarAtFar:
             far = float(rng.choice([0.01, 0.1, 1 / 3, 0.5, 1.0]))
             s = ScoreSet(scores, labels)
             assert tar_at_far(s, far) == pytest.approx(brute_force_tar(list(s.genuine), list(s.impostor), far))
+
+    def test_equals_brute_force_tie_heavy(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            scores, labels = tie_heavy_scores(rng, int(rng.integers(20, 200)))
+            s = ScoreSet(scores, labels)
+            for far in (0.001, 0.01, 0.1, 1 / 3, 0.5, 1.0):
+                assert tar_at_far(s, far) == brute_force_tar(list(s.genuine), list(s.impostor), far)
 
     def test_monotone_in_far(self):
         rng = np.random.default_rng(4)

@@ -300,6 +300,30 @@ def test_avg_pool2x2():
     assert np.max(np.abs(x.grad - numeric)) < 1e-6
 
 
+def _pool_reference(x, g):
+    """Reshape-mean forward and its broadcast backward."""
+    b, c, h, w = x.shape
+    fwd = x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    bwd = np.broadcast_to((g / 4)[:, :, :, None, :, None], (b, c, h // 2, 2, w // 2, 2)).reshape(x.shape)
+    return fwd, bwd
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape", [(3, 8, 64, 64), (3, 16, 32, 32), (3, 32, 16, 16), (4, 2, 8, 8), (4, 4, 4, 4), (3, 5, 2, 2)]
+)
+def test_avg_pool2x2_bitwise_reshape_mean(shape, dtype):
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+    g = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2)).astype(dtype)
+    fwd, bwd = _pool_reference(x.data, g)
+    out = T.avg_pool2x2(x)
+    T.backward(T.mul(out, Tensor(g)).sum())
+    assert out.data.dtype == dtype and x.grad.dtype == dtype
+    assert out.data.tobytes() == fwd.tobytes()
+    assert x.grad.tobytes() == np.ascontiguousarray(bwd).tobytes()
+
+
 def test_broadcast_add_mul_gradients():
     rng = np.random.default_rng(16)
     a = rand_t(rng, 3, 4)
