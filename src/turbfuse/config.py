@@ -55,14 +55,12 @@ DEFAULTS = {
         "warmup_steps": 50,
     },
     "fusion": {
-        "n_heads": 8,
         "ffn_hidden": 256,
         "attention_order": "cross_first",
         "role_variant": "d",
         "cascade_depth": 1,
         "use_residual": True,
         "block_norm": True,
-        "normalize_inputs": False,
     },
     "loss": {"m1": 1.0, "m2": 0.5, "m3": 0.0, "s": 16.0},
     "train": {

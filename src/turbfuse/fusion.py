@@ -1,21 +1,33 @@
 """Dual-branch feature fusion: nested cross/self-attention with a residual.
 
-Each face contributes a single 512-d (desk scale: 64-d) vector, so attention
-runs over length-1 token sequences; batch items never attend to each other.
-The default path (cross-attention first, role variant ``d``, depth 1,
-residual on) computes
+Each face contributes a single 512-d (desk scale: 64-d) vector, so every
+attention block sees one query token and one key/value token per batch
+item, and batch items never attend to each other. The softmax over a single
+key is exactly 1 for any query, key projection or head count, so attention
+reduces to its value and output projections:
 
-    fused_hq = SA1(CA1(query=hq, kv=lq))
-    fused_lq = SA2(CA2(query=lq, kv=hq))
-    fusion   = FFN(CA3(query=fused_hq, kv=fused_lq))
-    out      = lq + fusion
+    attend(x_kv) = (x_kv·Wv + bv)·Wo + bo
 
-where lq is the frozen-branch feature and hq the trainable-branch feature.
-Variants ``a``/``b`` use a single cross-attention (CA3) directly on the raw
-features; ``c`` swaps CA3's query/key-value roles; ``self_first`` applies
-the self-attention blocks to each branch before the stage-one crosses.
-Cascading feeds the stage output back as the lq-side input (hq fixed); all
-stages share one parameter bundle.
+The query and key projections never reach the output, and neither does a
+block whose result only feeds another block's query. With lq the frozen-
+branch feature and hq the trainable-branch feature, one stage computes
+
+    block(x, x_kv) = norm(x + attend(x_kv))    CA1/CA2; SA1/SA2 use x_kv = x
+    fused          = norm(attend(kv))          CA3, no residual
+    fusion         = norm(fused + FFN(fused))
+    out            = lq + fusion               (fusion alone without residual)
+
+where ``kv`` is CA3's key/value input and ``norm`` is a post-norm present
+only with block_norm. Per role variant and attention order:
+
+    variant  cross_first        self_first               live blocks
+    a        hq                 hq                       ca3
+    b        lq                 lq                       ca3 (hq never read)
+    c        SA1(CA1(hq, lq))   CA1(SA1(hq), SA2(lq))    ca1 sa1 ca3 (+sa2)
+    d        SA2(CA2(lq, hq))   CA2(SA2(lq), SA1(hq))    ca2 sa2 ca3 (+sa1)
+
+(+sa) is live under self_first only. Cascading feeds the stage output back
+as the lq-side input (hq fixed); all stages share one parameter bundle.
 """
 
 from __future__ import annotations
@@ -31,7 +43,11 @@ from .tensor import Tensor
 ROLE_VARIANTS = ("a", "b", "c", "d")
 ATTENTION_ORDERS = ("cross_first", "self_first")
 
-_NORM_BLOCKS = ("ca1", "ca2", "ca3", "sa1", "sa2", "ffn")
+# every attention block of the structure, in parameter-draw order
+BLOCKS = ("ca1", "ca2", "ca3", "sa1", "sa2")
+
+# per variant c/d: (cross block, its self block, the other branch's self block)
+_CHAINS = {"c": ("ca1", "sa1", "sa2"), "d": ("ca2", "sa2", "sa1")}
 
 
 @dataclass
@@ -39,21 +55,18 @@ class FusionConfig:
     """Architectural switches of the fusion structure (all ablatable)."""
 
     d_model: int = 512
-    n_heads: int = 8
     ffn_hidden: int | None = None  # default 4*d_model
     attention_order: str = "cross_first"
     role_variant: str = "d"
     cascade_depth: int = 1
     use_residual: bool = True
     block_norm: bool = True
-    normalize_inputs: bool = False
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.ffn_hidden is None:
             self.ffn_hidden = 4 * self.d_model
-        if self.d_model <= 0 or self.d_model % self.n_heads:
-            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        if self.d_model <= 0:
+            raise ConfigError("d_model must be positive")
         if self.ffn_hidden <= 0:
             raise ConfigError("ffn_hidden must be positive")
         if self.attention_order not in ATTENTION_ORDERS:
@@ -62,61 +75,44 @@ class FusionConfig:
             raise ConfigError(f"role_variant must be one of {ROLE_VARIANTS}")
         if self.cascade_depth < 1:
             raise ConfigError("cascade_depth must be >= 1")
-        if self.dropout != 0.0:
-            raise ConfigError("dropout is fixed at 0.0")
+
+    @property
+    def live_blocks(self):
+        """Attention blocks whose output reaches ``fuse``'s output, in BLOCKS order."""
+        if self.role_variant in ("a", "b"):
+            return ("ca3",)
+        chain = _CHAINS[self.role_variant]
+        live = chain if self.attention_order == "self_first" else chain[:2]
+        return tuple(b for b in BLOCKS if b == "ca3" or b in live)
+
+    @property
+    def hq_branch_live(self):
+        """Whether the output depends on the trainable (restored-image) branch."""
+        return self.role_variant != "b"
 
 
 @dataclass
-class MhaParams:
-    """Weights of one multi-head attention instance (bias=True throughout)."""
+class Projection:
+    """Value and output projections of one attention block (bias=True)."""
 
-    n_heads: int
-    wq: Tensor
-    wk: Tensor
     wv: Tensor
     wo: Tensor
-    bq: Tensor
-    bk: Tensor
     bv: Tensor
     bo: Tensor
-    dropout: float = 0.0
-
-    @classmethod
-    def init(cls, rng, d_model, n_heads, dtype=np.float32, trainable=True):
-        if d_model % n_heads:
-            raise ConfigError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-        scale = 1.0 / np.sqrt(d_model)
-
-        def w():
-            return Tensor(rng.uniform(-scale, scale, (d_model, d_model)), requires_grad=trainable, dtype=dtype)
-
-        def b():
-            return Tensor(np.zeros(d_model), requires_grad=trainable, dtype=dtype)
-
-        return cls(n_heads, w(), w(), w(), w(), b(), b(), b(), b())
-
-    @property
-    def d_model(self):
-        return self.wq.shape[0]
 
     def tensors(self, prefix=""):
-        names = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
-        return {prefix + n: getattr(self, n) for n in names}
+        return {prefix + n: getattr(self, n) for n in ("wv", "wo", "bv", "bo")}
 
 
 @dataclass
 class FusionParams:
     """All trainable state of the fusion structure.
 
-    CA1/CA2 and SA1/SA2 are independent instances with identical shapes;
-    norms holds (gamma, beta) pairs per block when block_norm is on.
+    blocks maps each live attention block to its projections; norms holds
+    (gamma, beta) pairs for those blocks and ``ffn`` when block_norm is on.
     """
 
-    ca1: MhaParams
-    ca2: MhaParams
-    ca3: MhaParams
-    sa1: MhaParams
-    sa2: MhaParams
+    blocks: dict
     ffn_w1: Tensor
     ffn_b1: Tensor
     ffn_w2: Tensor
@@ -125,32 +121,37 @@ class FusionParams:
 
     @classmethod
     def init(cls, rng, cfg: FusionConfig, dtype=np.float32, trainable=True):
-        d, h = cfg.d_model, cfg.n_heads
-        mha = lambda: MhaParams.init(rng, d, h, dtype=dtype, trainable=trainable)
+        d = cfg.d_model
         s1 = 1.0 / np.sqrt(d)
         s2 = 1.0 / np.sqrt(cfg.ffn_hidden)
+
+        def t(a):
+            return Tensor(a, requires_grad=trainable, dtype=dtype)
+
+        blocks = {}
+        for name in BLOCKS:
+            # Slots 0 and 1 are the query and key projections, which cannot
+            # reach the output; every block still draws all four so each
+            # seed gives the same live weights and later draws in any variant.
+            w = rng.uniform(-s1, s1, (4, d, d))
+            if name in cfg.live_blocks:
+                blocks[name] = Projection(t(w[2]), t(w[3]), t(np.zeros(d)), t(np.zeros(d)))
         params = cls(
-            ca1=mha(),
-            ca2=mha(),
-            ca3=mha(),
-            sa1=mha(),
-            sa2=mha(),
-            ffn_w1=Tensor(rng.uniform(-s1, s1, (d, cfg.ffn_hidden)), requires_grad=trainable, dtype=dtype),
-            ffn_b1=Tensor(np.zeros(cfg.ffn_hidden), requires_grad=trainable, dtype=dtype),
-            ffn_w2=Tensor(rng.uniform(-s2, s2, (cfg.ffn_hidden, d)), requires_grad=trainable, dtype=dtype),
-            ffn_b2=Tensor(np.zeros(d), requires_grad=trainable, dtype=dtype),
+            blocks=blocks,
+            ffn_w1=t(rng.uniform(-s1, s1, (d, cfg.ffn_hidden))),
+            ffn_b1=t(np.zeros(cfg.ffn_hidden)),
+            ffn_w2=t(rng.uniform(-s2, s2, (cfg.ffn_hidden, d))),
+            ffn_b2=t(np.zeros(d)),
         )
         if cfg.block_norm:
-            for name in _NORM_BLOCKS:
-                gamma = Tensor(np.ones(d), requires_grad=trainable, dtype=dtype)
-                beta = Tensor(np.zeros(d), requires_grad=trainable, dtype=dtype)
-                params.norms[name] = (gamma, beta)
+            for name in (*blocks, "ffn"):
+                params.norms[name] = (t(np.ones(d)), t(np.zeros(d)))
         return params
 
     def tensors(self, prefix=""):
         out = {}
-        for name in ("ca1", "ca2", "ca3", "sa1", "sa2"):
-            out.update(getattr(self, name).tensors(prefix + name + "."))
+        for name, proj in self.blocks.items():
+            out.update(proj.tensors(prefix + name + "."))
         for name in ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"):
             out[prefix + name] = getattr(self, name)
         for block, (gamma, beta) in self.norms.items():
@@ -159,111 +160,52 @@ class FusionParams:
         return out
 
 
-def _check_token(x, d_model):
-    if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != d_model:
-        raise ShapeError(f"expected (B, 1, {d_model}) tokens, got {x.shape}")
+def attend(x_kv, p: Projection):
+    """Attention of any query over the single key/value token ``x_kv``.
 
-
-def multi_head_attention(q_in, k_in, v_in, p: MhaParams, return_weights=False):
-    """Scaled dot-product attention over (B, S, D) token sequences.
-
-    Scale is 1/sqrt(d_model/n_heads); heads are concatenated through the
-    output projection. With sequence length 1 the softmax weight over the
-    single key is exactly 1 and the output reduces to the value/output
-    projection composition.
+    The softmax weight over one key is exactly 1, so the output is the
+    value projection followed by the output projection.
     """
-    d = p.d_model
-    for x in (q_in, k_in, v_in):
-        if x.ndim != 3 or x.shape[-1] != d:
-            raise ShapeError(f"attention inputs must be (B, S, {d}), got {x.shape}")
-    if q_in.shape[0] != k_in.shape[0] or k_in.shape != v_in.shape:
-        raise ShapeError("query/key/value batch shapes are inconsistent")
-    bsz, sq, _ = q_in.shape
-    sk = k_in.shape[1]
-    h = p.n_heads
-    dh = d // h
-
-    def split(x, s):
-        x = T.reshape(x, (bsz, s, h, dh))
-        return T.transpose(x, (0, 2, 1, 3))  # (B, H, S, dh)
-
-    q = split(T.linear(q_in, p.wq, p.bq), sq)
-    k = split(T.linear(k_in, p.wk, p.bk), sk)
-    v = split(T.linear(v_in, p.wv, p.bv), sk)
-
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    weights = T.softmax(scores, axis=-1)  # (B, H, Sq, Sk)
-    ctx = T.matmul(weights, v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, sq, d))
-    out = T.linear(ctx, p.wo, p.bo)
-    if return_weights:
-        return out, weights.data
-    return out
+    return T.linear(T.linear(x_kv, p.wv, p.bv), p.wo, p.bo)
 
 
-def _post(x_res, branch, p: FusionParams, cfg: FusionConfig, block):
-    y = T.add(x_res, branch)
+def _norm(y, p: FusionParams, cfg: FusionConfig, block):
     if cfg.block_norm:
         gamma, beta = p.norms[block]
         y = T.layer_norm(y, gamma, beta)
     return y
 
 
-def cross_attention_block(x_q, x_kv, mha: MhaParams, p: FusionParams, cfg: FusionConfig, block):
-    """attn(x_q, x_kv) + residual on the query side, optional post-norm."""
-    attn = multi_head_attention(x_q, x_kv, x_kv, mha)
-    return _post(x_q, attn, p, cfg, block)
-
-
-def self_attention_block(x, mha: MhaParams, p: FusionParams, cfg: FusionConfig, block):
-    return cross_attention_block(x, x, mha, p, cfg, block)
+def residual_block(x, x_kv, p: FusionParams, cfg: FusionConfig, block):
+    """norm(x + attend(x_kv)): a cross block, or a self block when x_kv is x."""
+    return _norm(T.add(x, attend(x_kv, p.blocks[block])), p, cfg, block)
 
 
 def feed_forward(x, p: FusionParams, cfg: FusionConfig):
     """dense -> ReLU -> dense with residual add and optional post-norm."""
     h = T.relu(T.linear(x, p.ffn_w1, p.ffn_b1))
     y = T.linear(h, p.ffn_w2, p.ffn_b2)
-    return _post(x, y, p, cfg, "ffn")
-
-
-def _final_cross(x_q, x_kv, p: FusionParams, cfg: FusionConfig):
-    """CA3 as bare attention (no query-side residual), optional post-norm.
-
-    Keeping the final cross-attention residual-free makes the fusion branch
-    vanish exactly when its output projection and the FFN are zeroed, which
-    is what guarantees the frozen-baseline lower bound.
-    """
-    attn = multi_head_attention(x_q, x_kv, x_kv, p.ca3)
-    if cfg.block_norm:
-        gamma, beta = p.norms["ca3"]
-        attn = T.layer_norm(attn, gamma, beta)
-    return attn
-
-
-def _l2norm_rows(x):
-    sq = T.tensor_sum(T.mul(x, x), axis=-1, keepdims=True)
-    return T.mul(x, T.power(sq, -0.5))
+    return _norm(T.add(x, y), p, cfg, "ffn")
 
 
 def _fusion_stage(x_f, x_a, p: FusionParams, cfg: FusionConfig):
     """One full fusion stage on (B, 1, D) tokens; returns the stage output."""
-    if cfg.role_variant in ("a", "b"):
-        q, kv = (x_f, x_a) if cfg.role_variant == "a" else (x_a, x_f)
-        return feed_forward(_final_cross(q, kv, p, cfg), p, cfg)
-
-    if cfg.attention_order == "cross_first":
-        f_aff = self_attention_block(cross_attention_block(x_a, x_f, p.ca1, p, cfg, "ca1"), p.sa1, p, cfg, "sa1")
-        f_faa = self_attention_block(cross_attention_block(x_f, x_a, p.ca2, p, cfg, "ca2"), p.sa2, p, cfg, "sa2")
-    else:  # self_first: each branch self-attends before the stage-one crosses
-        a_sa = self_attention_block(x_a, p.sa1, p, cfg, "sa1")
-        f_sa = self_attention_block(x_f, p.sa2, p, cfg, "sa2")
-        f_aff = cross_attention_block(a_sa, f_sa, p.ca1, p, cfg, "ca1")
-        f_faa = cross_attention_block(f_sa, a_sa, p.ca2, p, cfg, "ca2")
-
-    if cfg.role_variant == "d":
-        fused = _final_cross(f_aff, f_faa, p, cfg)
-    else:  # variant c: fused-lq features drive the query
-        fused = _final_cross(f_faa, f_aff, p, cfg)
+    variant = cfg.role_variant
+    if variant in ("a", "b"):
+        kv = x_a if variant == "a" else x_f
+    else:
+        own, other = (x_a, x_f) if variant == "c" else (x_f, x_a)
+        cross, own_self, other_self = _CHAINS[variant]
+        if cfg.attention_order == "cross_first":
+            y = residual_block(own, other, p, cfg, cross)
+            kv = residual_block(y, y, p, cfg, own_self)
+        else:  # self_first: each branch self-attends before the cross
+            own = residual_block(own, own, p, cfg, own_self)
+            other = residual_block(other, other, p, cfg, other_self)
+            kv = residual_block(own, other, p, cfg, cross)
+    # CA3 stays residual-free, so the fusion branch vanishes exactly when its
+    # output projection and the FFN are zeroed (the frozen-baseline bound).
+    fused = _norm(attend(kv, p.blocks["ca3"]), p, cfg, "ca3")
     return feed_forward(fused, p, cfg)
 
 
@@ -281,9 +223,6 @@ def fuse(f_f, f_a, p: FusionParams, cfg: FusionConfig):
     bsz, d = f_f.shape
     x_f = T.reshape(f_f, (bsz, 1, d))
     x_a = T.reshape(f_a, (bsz, 1, d))
-    if cfg.normalize_inputs:
-        x_f = _l2norm_rows(x_f)
-        x_a = _l2norm_rows(x_a)
 
     out = None
     for _ in range(cfg.cascade_depth):
@@ -301,7 +240,8 @@ def zero_fusion_output(p: FusionParams):
     identically zero and ``fuse`` returns f_f unchanged with the residual
     on, for every role variant and cascade depth.
     """
-    for t in (p.ca3.wo, p.ca3.bo, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2):
+    ca3 = p.blocks["ca3"]
+    for t in (ca3.wo, ca3.bo, p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2):
         t.data[...] = 0.0
     for block in ("ca3", "ffn"):
         if block in p.norms:

@@ -26,8 +26,17 @@ from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .metrics import ScoreSet, VerificationReport, tar_at_far, top_k_hits, verification_accuracy
 from .optim import finite_diff_check
 from .restore import RestoreConfig, restore
+from .tensor import Tensor
 from .tensorio import load_bundle, save_bundle, save_tensor
-from .trainer import STRATEGIES, TrainConfig, forward_framework, probe_embeddings, train_adapter
+from .trainer import (
+    STRATEGIES,
+    TrainConfig,
+    TrainHistory,
+    TrainResult,
+    forward_framework,
+    probe_embeddings,
+    train_adapter,
+)
 from .turbsim import init_params, degrade, zernike_psf
 
 
@@ -227,35 +236,34 @@ def cmd_pretrain(cfg, out_dir=None):
     return {"command": "pretrain", "steps": len(result.loss_history), "loss_drop": drop}
 
 
+def _backbone_from_bundle(cfg, arrays, prefix="", trainable=False):
+    """Backbone whose tensors are ``arrays[prefix + name]``."""
+    params = BackboneParams(_backbone_cfg(cfg))
+    for i in range(len(params.cfg.channels)):
+        params.conv_w.append(Tensor(arrays[f"{prefix}conv{i}.w"], requires_grad=trainable))
+        params.conv_b.append(Tensor(arrays[f"{prefix}conv{i}.b"], requires_grad=trainable))
+    params.dense_w = Tensor(arrays[f"{prefix}dense.w"], requires_grad=trainable)
+    params.dense_b = Tensor(arrays[f"{prefix}dense.b"], requires_grad=trainable)
+    return params
+
+
 def _load_backbone(cfg, out, trainable=False):
     dest = _out(cfg, out) / "pretrain" / "backbone"
     if not (dest / "index.json").exists():
         raise DependencyError("pretrained backbone not found; run the `pretrain` command first")
-    arrays = load_bundle(dest)
-    params = BackboneParams(_backbone_cfg(cfg))
-    from .tensor import Tensor
-
-    n_stages = len(params.cfg.channels)
-    for i in range(n_stages):
-        params.conv_w.append(Tensor(arrays[f"conv{i}.w"], requires_grad=trainable))
-        params.conv_b.append(Tensor(arrays[f"conv{i}.b"], requires_grad=trainable))
-    params.dense_w = Tensor(arrays["dense.w"], requires_grad=trainable)
-    params.dense_b = Tensor(arrays["dense.b"], requires_grad=trainable)
-    return params
+    return _backbone_from_bundle(cfg, load_bundle(dest), trainable=trainable)
 
 
 def _fusion_cfg(cfg):
     f = cfg["fusion"]
     return FusionConfig(
         d_model=cfg["backbone"]["embed_dim"],
-        n_heads=f["n_heads"],
         ffn_hidden=f["ffn_hidden"],
         attention_order=f["attention_order"],
         role_variant=f["role_variant"],
         cascade_depth=f["cascade_depth"],
         use_residual=f["use_residual"],
         block_norm=f["block_norm"],
-        normalize_inputs=f["normalize_inputs"],
     )
 
 
@@ -321,30 +329,25 @@ def cmd_train(cfg, out_dir=None):
 
 
 def _load_train_result(cfg, out, strategy):
-    from .tensor import Tensor
-
+    """Trained state of one strategy, checked against the config's fusion tensors."""
     dest = _out(cfg, out) / "train" / strategy / "checkpoint"
     if not (dest / "index.json").exists():
         raise DependencyError(f"checkpoint for {strategy} not found; run the `train` command first")
     arrays = load_bundle(dest)
-    hq = BackboneParams(_backbone_cfg(cfg))
-    n_stages = len(hq.cfg.channels)
-    for i in range(n_stages):
-        hq.conv_w.append(Tensor(arrays[f"hq.conv{i}.w"]))
-        hq.conv_b.append(Tensor(arrays[f"hq.conv{i}.b"]))
-    hq.dense_w = Tensor(arrays["hq.dense.w"])
-    hq.dense_b = Tensor(arrays["hq.dense.b"])
+    hq = _backbone_from_bundle(cfg, arrays, prefix="hq.")
 
     fusion_params = None
-    fcfg = _fusion_cfg(cfg)
-    if any(k.startswith("fusion.") for k in arrays):
-        fusion_params = FusionParams.init(np.random.default_rng(0), fcfg)
-        for k, t in fusion_params.tensors().items():
-            t.data[...] = arrays["fusion." + k]
+    if strategy == "adapter_joint":
+        fusion_params = FusionParams.init(np.random.default_rng(0), _fusion_cfg(cfg))
+    want = fusion_params.tensors("fusion.") if fusion_params else {}
+    stored = {k: a for k, a in arrays.items() if k.startswith("fusion.")}
+    if {k: t.shape for k, t in want.items()} != {k: a.shape for k, a in stored.items()}:
+        raise DependencyError(
+            f"checkpoint for {strategy} was trained under another fusion config; run the `train` command again"
+        )
+    for k, t in want.items():
+        t.data[...] = stored[k]
     head = ClassifierHead(Tensor(arrays["head.weights"])) if "head.weights" in arrays else None
-
-    from .trainer import TrainHistory, TrainResult
-
     return TrainResult(strategy, hq, fusion_params, head, TrainHistory(), -1)
 
 
@@ -431,16 +434,15 @@ def cmd_eval(cfg, out_dir=None, fmt="json"):
 # -- gradcheck -----------------------------------------------------------------
 
 
-def full_pipeline_gradcheck(dtype, eps, d_model=16, n_heads=4, batch=4, n_classes=8, samples_per_tensor=4, seed=0):
+def full_pipeline_gradcheck(fcfg: FusionConfig, dtype, eps, samples_per_tensor=4, batch=4, n_classes=8, seed=0):
     """Finite-difference check through embed -> fuse -> margin loss."""
     rng = np.random.default_rng(seed)
-    bcfg = BackboneConfig(image_size=8, channels=(2, 4), embed_dim=d_model)
+    bcfg = BackboneConfig(image_size=8, channels=(2, 4), embed_dim=fcfg.d_model)
     frozen = BackboneParams.init(rng, bcfg, dtype=dtype, trainable=False)
     hq = BackboneParams.init(rng, bcfg, dtype=dtype, trainable=True)
-    fcfg = FusionConfig(d_model=d_model, n_heads=n_heads, ffn_hidden=2 * d_model)
     fp = FusionParams.init(rng, fcfg, dtype=dtype)
-    head = ClassifierHead.init(rng, n_classes, d_model, dtype=dtype)
-    head.weights.data[...] = rng.standard_normal((n_classes, d_model)) * 0.1
+    head = ClassifierHead.init(rng, n_classes, fcfg.d_model, dtype=dtype)
+    head.weights.data[...] = rng.standard_normal((n_classes, fcfg.d_model)) * 0.1
     margin = MarginParams(1.0, 0.5, 0.0, 16.0)
     lq = rng.random((batch, 8, 8))
     hq_imgs = rng.random((batch, 8, 8))
@@ -461,8 +463,9 @@ def cmd_gradcheck(cfg, out_dir=None):
     import time
 
     t0 = time.time()
-    err64 = full_pipeline_gradcheck(np.float64, eps=1e-5)
-    err32 = full_pipeline_gradcheck(np.float32, eps=3e-3)
+    fcfg = FusionConfig(d_model=16, ffn_hidden=32)
+    err64 = full_pipeline_gradcheck(fcfg, np.float64, eps=1e-5)
+    err32 = full_pipeline_gradcheck(fcfg, np.float32, eps=3e-3)
     elapsed = time.time() - t0
     ok = err64 < 1e-6 and err32 < 1e-3
     payload = {
@@ -576,7 +579,6 @@ def _fusion_grid(cfg, out_dir, frozen):
         )
         gc_cfg = FusionConfig(
             d_model=16,
-            n_heads=4,
             ffn_hidden=32,
             attention_order=fdict["attention_order"],
             role_variant=fdict["role_variant"],
@@ -584,8 +586,8 @@ def _fusion_grid(cfg, out_dir, frozen):
             use_residual=fdict["use_residual"],
             block_norm=fdict["block_norm"],
         )
-        err64 = _variant_gradcheck(gc_cfg, np.float64, eps=1e-5)
-        err32 = _variant_gradcheck(gc_cfg, np.float32, eps=3e-3)
+        err64 = full_pipeline_gradcheck(gc_cfg, np.float64, eps=1e-5, samples_per_tensor=2)
+        err32 = full_pipeline_gradcheck(gc_cfg, np.float32, eps=3e-3, samples_per_tensor=2)
         rows.append(
             {
                 "variant": name,
@@ -594,33 +596,10 @@ def _fusion_grid(cfg, out_dir, frozen):
                 "gradcheck_f64": err64,
                 "gradcheck_f32": err32,
                 "gradcheck_passed": bool(err64 < 1e-6 and err32 < 1e-3),
+                "hq_branch_live": gc_cfg.hq_branch_live,
             }
         )
     return {"level": level_tag(ab["table3_intensity"]), "rows": rows}
-
-
-def _variant_gradcheck(fcfg: FusionConfig, dtype, eps, seed=0):
-    """Criterion-1 style check with an arbitrary fusion variant."""
-    rng = np.random.default_rng(seed)
-    bcfg = BackboneConfig(image_size=8, channels=(2, 4), embed_dim=fcfg.d_model)
-    frozen = BackboneParams.init(rng, bcfg, dtype=dtype, trainable=False)
-    hq = BackboneParams.init(rng, bcfg, dtype=dtype, trainable=True)
-    fp = FusionParams.init(rng, fcfg, dtype=dtype)
-    head = ClassifierHead.init(rng, 8, fcfg.d_model, dtype=dtype)
-    head.weights.data[...] = rng.standard_normal((8, fcfg.d_model)) * 0.1
-    margin = MarginParams(1.0, 0.5, 0.0, 16.0)
-    lq = rng.random((4, 8, 8))
-    hq_imgs = rng.random((4, 8, 8))
-    labels = rng.integers(0, 8, 4)
-    params = dict(hq.tensors("hq."))
-    params.update(fp.tensors("fusion."))
-    params["head.weights"] = head.weights
-
-    def f(ps):
-        feats = forward_framework(lq.astype(dtype), hq_imgs.astype(dtype), frozen, hq, fp, fcfg)
-        return angular_margin_loss(feats, labels, head, margin)
-
-    return finite_diff_check(f, params, eps=eps, samples_per_tensor=2, seed=seed)
 
 
 def _restorer_sweep(cfg, out_dir, frozen):

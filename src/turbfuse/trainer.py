@@ -37,7 +37,7 @@ class TrainConfig:
     seed: int = 0
     strategy: str = "adapter_joint"
     reuse_pretrain_head: bool = False
-    total_steps: int | None = None  # filled in from the dataset by the loop
+    total_steps: int | None = None  # for lr_at(step, cfg); train_adapter derives its own
 
     def __post_init__(self):
         if self.lr_base <= 0:
@@ -153,7 +153,6 @@ def train_adapter(
     opt = SGD(tensors, lr=cfg.lr_base, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     steps_per_epoch = max(1, n // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    cfg.total_steps = total_steps
     # configs written for full-size runs stay valid on tiny datasets
     warmup = cfg.warmup_steps if cfg.warmup_steps < total_steps else max(1, total_steps // 5)
 

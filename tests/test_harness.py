@@ -20,7 +20,6 @@ def tiny_cfg(tmp_path):
         "dataset.image_size=16",
         "backbone.channels=[4, 8]",
         "backbone.embed_dim=8",
-        "fusion.n_heads=2",
         "fusion.ffn_hidden=16",
         "train.epochs=1",
         "train.batch_size=4",

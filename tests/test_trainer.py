@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ def setup_data(rng, n=24, size=16):
 def setup_models(rng, size=16, dim=8):
     bcfg = BackboneConfig(image_size=size, channels=(4, 8), embed_dim=dim)
     frozen = BackboneParams.init(rng, bcfg, trainable=False)
-    fcfg = FusionConfig(d_model=dim, n_heads=2, ffn_hidden=16)
+    fcfg = FusionConfig(d_model=dim, ffn_hidden=16)
     return frozen, fcfg
 
 
@@ -147,6 +149,15 @@ class TestTrainAdapter:
         base = probe_embeddings("baseline_lq", lq, restored, frozen, None, None)
         # hq clone never moved (lr ~ 0) and fusion forced to zero
         np.testing.assert_allclose(probe, base, atol=1e-30)
+
+    def test_configs_unchanged_by_training(self):
+        rng = np.random.default_rng(8)
+        lq, restored, labels = setup_data(rng)
+        frozen, fcfg = setup_models(rng)
+        cfg = TrainConfig(batch_size=8, epochs=1, lr_base=0.05, warmup_steps=1, seed=4)
+        before = (dataclasses.replace(cfg), dataclasses.replace(fcfg))
+        train_adapter(lq, restored, labels, frozen, fcfg, MarginParams(s=8.0), cfg)
+        assert (cfg, fcfg) == before
 
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ConfigError):
