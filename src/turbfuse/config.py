@@ -111,7 +111,10 @@ def _merge_checked(defaults, override, path=""):
         else:
             if isinstance(base, bool) != isinstance(value, bool) and isinstance(base, bool):
                 raise ConfigError(f"{kpath}: expected a boolean")
-            if isinstance(base, (int, float)) and not isinstance(base, bool):
+            if isinstance(base, int) and not isinstance(base, bool):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ConfigError(f"{kpath}: expected an integer")
+            elif isinstance(base, float):
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ConfigError(f"{kpath}: expected a number")
             elif isinstance(base, str) and not isinstance(value, str):

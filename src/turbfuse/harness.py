@@ -3,8 +3,9 @@
 Commands: synth, degrade, restore, pretrain, train, eval, ablate,
 gradcheck. Every command is a pure function of (config, seed): re-running
 with the same inputs rewrites byte-identical artifacts. Dataset, degraded,
-restored and checkpoint artifacts live under the config's output_dir; the
-ablation command loads the dataset once and degrades/restores in memory.
+restored and checkpoint artifacts live under the config's output_dir. The
+ablation command loads the dataset once, degrades each (split, intensity)
+once, embeds the clean gallery once and restores in memory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .backbone import BackboneConfig, BackboneParams, embed, pretrain
 from .config import config_hash
 from .datagen import DatasetManifest, load_images, make_pairs, synth_dataset
 from .errors import ContractError, DependencyError, EvaluationError, TrainingError
-from .fusion import FusionConfig, FusionParams
+from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .metrics import ScoreSet, VerificationReport, tar_at_far, top_k_hits, verification_accuracy
 from .optim import finite_diff_check
@@ -33,7 +34,6 @@ from .trainer import (
     TrainConfig,
     TrainHistory,
     TrainResult,
-    forward_framework,
     probe_embeddings,
     train_adapter,
 )
@@ -351,22 +351,40 @@ def _load_train_result(cfg, out, strategy):
     return TrainResult(strategy, hq, fusion_params, head, TrainHistory(), -1)
 
 
-def evaluate_strategy(cfg, strategy, manifest, frozen, result, clean_test, lq_test, restored_test, labels_test):
+def gallery_embeddings(clean_test, frozen):
+    """Frozen-baseline embeddings of the clean test images: the gallery side
+    of every evaluation, whatever the strategy."""
+    with T.no_grad():
+        return embed(clean_test, frozen).data
+
+
+def pair_scores(fn, pn, index_a, index_b):
+    """Float64 scores ``fn[a] @ pn[b]`` of every pair, in one batched matmul.
+
+    Each pair is a (1, d) by (d, 1) product; the scores equal the per-pair
+    dot products bitwise in float32 and float64, which ``einsum`` and
+    multiply-then-sum do not.
+    """
+    return (fn[index_a][:, None, :] @ pn[index_b][:, :, None])[:, 0, 0].astype(np.float64)
+
+
+def evaluate_strategy(cfg, strategy, manifest, frozen, result, gallery_embs, lq_test, restored_test, labels_test):
     """Verification report for one strategy on the test split.
 
-    Gallery side embeds clean images with the frozen baseline; probe side
-    embeds degraded/restored images the way the strategy prescribes.
+    ``gallery_embs`` are the clean test images embedded by the frozen
+    baseline (``gallery_embeddings``); the probe side embeds degraded or
+    restored images the way the strategy prescribes.
     """
     fcfg = _fusion_cfg(cfg)
-    with T.no_grad():
-        gallery_embs = embed(clean_test, frozen).data
     probe_embs = probe_embeddings(strategy, lq_test, restored_test, frozen, result, fcfg)
 
     e = cfg["eval"]
     pairs = make_pairs(manifest, "test", e["n_genuine_pairs"], e["n_impostor_pairs"], seed=cfg["seed"])
     fn = gallery_embs / np.linalg.norm(gallery_embs, axis=1, keepdims=True)
     pn = probe_embs / np.linalg.norm(probe_embs, axis=1, keepdims=True)
-    scores = np.array([float(fn[p.index_a] @ pn[p.index_b]) for p in pairs])
+    index_a = np.array([p.index_a for p in pairs], dtype=np.intp)
+    index_b = np.array([p.index_b for p in pairs], dtype=np.intp)
+    scores = pair_scores(fn, pn, index_a, index_b)
     genuine = np.array([p.genuine for p in pairs])
     score_set = ScoreSet(scores, genuine)
     accuracy, thresholds = verification_accuracy(score_set, n_folds=e["n_folds"])
@@ -412,8 +430,9 @@ def cmd_eval(cfg, out_dir=None, fmt="json"):
     result = None
     if strategy in ("finetune_restored", "adapter_joint"):
         result = _load_train_result(cfg, out_dir, strategy)
+    gallery = gallery_embeddings(clean_test, frozen)
     report, score_set = evaluate_strategy(
-        cfg, strategy, manifest, frozen, result, clean_test, lq_test, restored_test, labels_test
+        cfg, strategy, manifest, frozen, result, gallery, lq_test, restored_test, labels_test
     )
     payload = {
         "command": "eval",
@@ -445,15 +464,19 @@ def full_pipeline_gradcheck(fcfg: FusionConfig, dtype, eps, samples_per_tensor=4
     head.weights.data[...] = rng.standard_normal((n_classes, fcfg.d_model)) * 0.1
     margin = MarginParams(1.0, 0.5, 0.0, 16.0)
     lq = rng.random((batch, 8, 8))
-    hq_imgs = rng.random((batch, 8, 8))
+    hq_imgs = rng.random((batch, 8, 8)).astype(dtype)
     labels = rng.integers(0, n_classes, batch)
 
     params = dict(hq.tensors("hq."))
     params.update(fp.tensors("fusion."))
     params["head.weights"] = head.weights
+    # the frozen branch is a constant of the probed parameters: embed it once,
+    # off-tape as forward_framework does, outside the function probed below
+    with T.no_grad():
+        f_lq = embed(lq.astype(dtype), frozen).data
 
     def f(ps):
-        feats = forward_framework(lq.astype(dtype), hq_imgs.astype(dtype), frozen, hq, fp, fcfg)
+        feats = fuse(Tensor(f_lq), embed(hq_imgs, hq), fp, fcfg)
         return angular_margin_loss(feats, labels, head, margin)
 
     return finite_diff_check(f, params, eps=eps, samples_per_tensor=samples_per_tensor, seed=seed)
@@ -487,39 +510,71 @@ def cmd_gradcheck(cfg, out_dir=None):
 # -- ablation grid ---------------------------------------------------------------
 
 
-def _ablate_data(cfg, out_dir, meters, artifact_sigma, seed_salt):
-    """In-memory degraded/restored stacks for one intensity level."""
-    out = _out(cfg, out_dir)
-    manifest = _dataset_or_die(cfg, out_dir)
+class _AblateInputs:
+    """What the parts of one `ablate` call share: the manifest, both clean
+    splits, the frozen backbone with its gallery embedding, and each
+    degraded stack, made on first use once per (split, intensity).
+
+    The parts only read these arrays. Degrading goes through the module's
+    ``degrade_stack`` on a miss only, so a lookup is never counted as work.
+    """
+
+    def __init__(self, cfg, out_dir, frozen):
+        out = _out(cfg, out_dir)
+        self.cfg = cfg
+        self.frozen = frozen
+        self.manifest = _dataset_or_die(cfg, out_dir)
+        self.clean, self.labels = {}, {}
+        for split in ("train", "test"):
+            self.clean[split], self.labels[split] = load_images(out / "dataset", self.manifest.split_images(split))
+        self.gallery = gallery_embeddings(self.clean["test"], frozen)
+        self._degraded = {}
+
+    def degraded(self, split, meters):
+        key = (split, float(meters))
+        if key not in self._degraded:
+            params = _turb_params(self.cfg, meters=meters)
+            self._degraded[key] = degrade_stack(self.clean[split].astype(np.float64), params, self.cfg["seed"])
+        return self._degraded[key]
+
+    def evaluate(self, cfg, strategy, result, lq_test, restored_test):
+        return evaluate_strategy(
+            cfg, strategy, self.manifest, self.frozen, result, self.gallery, lq_test, restored_test, self.labels["test"]
+        )
+
+
+def _ablate_data(inputs, meters, artifact_sigma, seed_salt):
+    """(degraded, restored) stacks of both splits at one intensity level."""
+    cfg = inputs.cfg
     params = _turb_params(cfg, meters=meters)
     rcfg = _restore_cfg(cfg, artifact_sigma=artifact_sigma)
-    data = {"manifest": manifest, "params": params}
+    data = {}
     for split in ("train", "test"):
-        entries = manifest.split_images(split)
-        clean, labels = load_images(out / "dataset", entries)
-        clean64 = clean.astype(np.float64)
-        lq = degrade_stack(clean64, params, cfg["seed"])
+        lq = inputs.degraded(split, meters)
+        clean64 = inputs.clean[split].astype(np.float64)
         restored = restore_stack(lq.astype(np.float64), clean64, params, rcfg, cfg["seed"], seed_salt=seed_salt)
-        data[split] = (clean, lq, restored, labels)
+        data[split] = (lq, restored)
     return data
 
 
-def _table3(cfg, out_dir, frozen):
+def _table3(inputs):
+    cfg = inputs.cfg
     ab = cfg["ablations"]
     meters = ab["table3_intensity"]
+    labels_train = inputs.labels["train"]
     rows = {s: [] for s in STRATEGIES}
     per_seed = []
     for seed in ab["table3_seeds"]:
-        data = _ablate_data(cfg, out_dir, meters, ab["table3_artifact_sigma"], seed_salt=seed)
-        clean_test, lq_test, restored_test, labels_test = data["test"]
-        _, lq_train, restored_train, labels_train = data["train"]
+        data = _ablate_data(inputs, meters, ab["table3_artifact_sigma"], seed_salt=seed)
+        lq_test, restored_test = data["test"]
+        lq_train, restored_train = data["train"]
         seed_row = {}
         for strategy in STRATEGIES:
             tcfg = _train_cfg(cfg, strategy=strategy, seed=seed)
-            result = train_adapter(lq_train, restored_train, labels_train, frozen, _fusion_cfg(cfg), _margin(cfg), tcfg)
-            report, _ = evaluate_strategy(
-                cfg, strategy, data["manifest"], frozen, result, clean_test, lq_test, restored_test, labels_test
+            result = train_adapter(
+                lq_train, restored_train, labels_train, inputs.frozen, _fusion_cfg(cfg), _margin(cfg), tcfg
             )
+            report, _ = inputs.evaluate(cfg, strategy, result, lq_test, restored_test)
             rows[strategy].append(report)
             seed_row[strategy] = report.accuracy
         per_seed.append(seed_row)
@@ -563,20 +618,22 @@ def _fusion_grid_variants(cfg):
     return [(name, v) for name, v, _ in variants]
 
 
-def _fusion_grid(cfg, out_dir, frozen):
+def _fusion_grid(inputs):
+    cfg = inputs.cfg
     ab = cfg["ablations"]
-    data = _ablate_data(cfg, out_dir, ab["table3_intensity"], ab["table3_artifact_sigma"], seed_salt=0)
-    clean_test, lq_test, restored_test, labels_test = data["test"]
-    _, lq_train, restored_train, labels_train = data["train"]
+    data = _ablate_data(inputs, ab["table3_intensity"], ab["table3_artifact_sigma"], seed_salt=0)
+    lq_test, restored_test = data["test"]
+    lq_train, restored_train = data["train"]
+    labels_train = inputs.labels["train"]
     rows = []
     for name, fdict in _fusion_grid_variants(cfg):
         vcfg = json.loads(json.dumps(cfg))
         vcfg["fusion"].update(fdict)
         tcfg = _train_cfg(vcfg, strategy="adapter_joint", epochs=ab["grid_epochs"])
-        result = train_adapter(lq_train, restored_train, labels_train, frozen, _fusion_cfg(vcfg), _margin(vcfg), tcfg)
-        report, _ = evaluate_strategy(
-            vcfg, "adapter_joint", data["manifest"], frozen, result, clean_test, lq_test, restored_test, labels_test
+        result = train_adapter(
+            lq_train, restored_train, labels_train, inputs.frozen, _fusion_cfg(vcfg), _margin(vcfg), tcfg
         )
+        report, _ = inputs.evaluate(vcfg, "adapter_joint", result, lq_test, restored_test)
         gc_cfg = FusionConfig(
             d_model=16,
             ffn_hidden=32,
@@ -602,16 +659,14 @@ def _fusion_grid(cfg, out_dir, frozen):
     return {"level": level_tag(ab["table3_intensity"]), "rows": rows}
 
 
-def _restorer_sweep(cfg, out_dir, frozen):
+def _restorer_sweep(inputs):
     """Frozen-baseline accuracy on restored probes per (mode, w)."""
-    out = _out(cfg, out_dir)
-    manifest = _dataset_or_die(cfg, out_dir)
+    cfg = inputs.cfg
     meters = cfg["turbulence"]["intensity_meters"]
     params = _turb_params(cfg)
-    entries = manifest.split_images("test")
-    clean, labels = load_images(out / "dataset", entries)
+    clean = inputs.clean["test"]
     clean64 = clean.astype(np.float64)
-    lq = degrade_stack(clean64, params, cfg["seed"])
+    lq = inputs.degraded("test", meters)
     rows = []
     sweeps = [("oracle_blend", w) for w in cfg["ablations"]["restore_ws"]] + [("wiener", None)]
     for mode, w in sweeps:
@@ -620,7 +675,7 @@ def _restorer_sweep(cfg, out_dir, frozen):
             overrides["fidelity_w"] = w
         rcfg = _restore_cfg(cfg, **overrides)
         restored = restore_stack(lq.astype(np.float64), clean64, params, rcfg, cfg["seed"])
-        report, _ = evaluate_strategy(cfg, "eval_restored", manifest, frozen, None, clean, lq, restored, labels)
+        report, _ = inputs.evaluate(cfg, "eval_restored", None, lq, restored)
         rows.append(
             {
                 "mode": mode,
@@ -633,18 +688,14 @@ def _restorer_sweep(cfg, out_dir, frozen):
     return {"level": level_tag(meters), "rows": rows}
 
 
-def _intensity_ladder(cfg, out_dir, frozen):
+def _intensity_ladder(inputs):
     """Degradation MSE and frozen-baseline accuracy across the ladder."""
-    out = _out(cfg, out_dir)
-    manifest = _dataset_or_die(cfg, out_dir)
-    entries = manifest.split_images("test")
-    clean, labels = load_images(out / "dataset", entries)
-    clean64 = clean.astype(np.float64)
+    cfg = inputs.cfg
+    clean = inputs.clean["test"]
     rows = []
     for meters in cfg["ablations"]["intensity_levels"]:
-        params = _turb_params(cfg, meters=meters)
-        lq = degrade_stack(clean64, params, cfg["seed"])
-        report, _ = evaluate_strategy(cfg, "baseline_lq", manifest, frozen, None, clean, lq, lq, labels)
+        lq = inputs.degraded("test", meters)
+        report, _ = inputs.evaluate(cfg, "baseline_lq", None, lq, lq)
         rows.append(
             {
                 "level": level_tag(meters),
@@ -657,22 +708,25 @@ def _intensity_ladder(cfg, out_dir, frozen):
     return {"rows": rows}
 
 
+ABLATION_PARTS = {
+    "table3": _table3,
+    "fusion_grid": _fusion_grid,
+    "restorer": _restorer_sweep,
+    "intensity": _intensity_ladder,
+}
+
+
 def cmd_ablate(cfg, out_dir=None, fmt="json"):
     out = _out(cfg, out_dir)
-    frozen = _load_backbone(cfg, out_dir, trainable=False)
+    inputs = _AblateInputs(cfg, out_dir, _load_backbone(cfg, out_dir, trainable=False))
     parts = cfg["ablations"]["parts"]
     results = {"command": "ablate", "config_hash": config_hash(cfg), "version": version_string()}
-    if "table3" in parts:
-        results["table3"] = _table3(cfg, out_dir, frozen)
-    if "fusion_grid" in parts:
-        results["fusion_grid"] = _fusion_grid(cfg, out_dir, frozen)
-    if "restorer" in parts:
-        results["restorer"] = _restorer_sweep(cfg, out_dir, frozen)
-    if "intensity" in parts:
-        results["intensity"] = _intensity_ladder(cfg, out_dir, frozen)
+    for section, part in ABLATION_PARTS.items():
+        if section in parts:
+            results[section] = part(inputs)
 
     csv_rows = [("section", "name", "accuracy_pct")]
-    for section in ("table3", "fusion_grid", "restorer", "intensity"):
+    for section in ABLATION_PARTS:
         if section not in results:
             continue
         for row in results[section]["rows"]:

@@ -1,10 +1,15 @@
-"""End-to-end CLI runs on a 16-px config: exit codes and byte-identical reruns."""
+"""End-to-end CLI runs on a 16-px config: exit codes, byte-identical reruns
+and the work one `ablate` shares between its parts."""
 
 import json
 
+import numpy as np
 import pytest
 
+from turbfuse import harness
 from turbfuse.cli import main
+from turbfuse.config import DEFAULTS
+from turbfuse.datagen import DatasetManifest, load_images
 
 PIPELINE = ("synth", "degrade", "restore", "pretrain", "train", "eval")
 
@@ -74,14 +79,67 @@ def test_gradcheck_passes(config_path, tmp_path, capsys):
     assert json.loads((tmp_path / "reports" / "gradcheck.json").read_text())["passed"] is True
 
 
-def test_fusion_grid_rows_pass_gradcheck_and_flag_the_hq_branch(trained, capsys):
+def test_diverging_train_exits_4(trained, capsys):
     path, out = trained
-    args = ["ablate", "--config", str(path), "--out", str(out), "--set", 'ablations.parts=["fusion_grid"]']
-    assert main(args) == 0
-    capsys.readouterr()
-    rows = json.loads((out / "reports" / "ablate.json").read_text())["fusion_grid"]["rows"]
+    assert main(["train", "--config", str(path), "--out", str(out), "--set", "train.lr_base=1e6"]) == 4
+    assert "diverged" in capsys.readouterr().err
+
+
+ABLATION_PARTS = ["table3", "fusion_grid", "restorer", "intensity"]
+
+
+def run_ablate(path, out, parts):
+    # wiener restoration needs a PSF no larger than the 16-px image
+    sets = [f"ablations.parts={json.dumps(parts)}", "ablations.table3_seeds=[0, 1]", "turbulence.kernel_size=7"]
+    assert main(["ablate", "--config", str(path), "--out", str(out)] + [a for s in sets for a in ("--set", s)]) == 0
+    return json.loads((out / "reports" / "ablate.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def ablations(trained):
+    """One `ablate` with all four parts, counting the degraded stacks it makes
+    and its embeddings of the clean gallery, then one `ablate` per part alone."""
+    path, out = trained
+    manifest = DatasetManifest.load(out / "dataset" / "manifest.json")
+    clean_test, _ = load_images(out / "dataset", manifest.split_images("test"))
+    runs = {"degraded": [], "gallery": []}
+    real_degrade, real_embed = harness.degrade_stack, harness.embed
+
+    def counting_degrade(images, params, seed):
+        runs["degraded"].append((len(images), params.intensity_meters))
+        return real_degrade(images, params, seed)
+
+    def counting_embed(images, params):
+        if np.array_equal(getattr(images, "data", images), clean_test):
+            runs["gallery"].append(len(images))
+        return real_embed(images, params)
+
+    harness.degrade_stack, harness.embed = counting_degrade, counting_embed
+    try:
+        runs["all"] = run_ablate(path, out, ABLATION_PARTS)
+    finally:
+        harness.degrade_stack, harness.embed = real_degrade, real_embed
+    for part in ABLATION_PARTS:
+        runs[part] = run_ablate(path, out, [part])
+    return runs
+
+
+def test_fusion_grid_rows_pass_gradcheck_and_flag_the_hq_branch(ablations):
+    rows = ablations["fusion_grid"]["fusion_grid"]["rows"]
     assert len(rows) == 8
     assert all(r["gradcheck_passed"] for r in rows)
     live = {r["variant"]: r["hq_branch_live"] for r in rows}
     assert live.pop("variant=b") is False
     assert all(live.values())
+
+
+def test_ablate_computes_each_distinct_input_once(ablations):
+    ab, n_train, n_test = DEFAULTS["ablations"], 4 * 4, 3 * 4
+    want = {(n_train, ab["table3_intensity"]), (n_test, ab["table3_intensity"])}
+    want |= {(n_test, DEFAULTS["turbulence"]["intensity_meters"])}
+    want |= {(n_test, m) for m in ab["intensity_levels"]}
+    assert sorted(ablations["degraded"]) == sorted(want)
+    assert ablations["gallery"] == [n_test]
+    # each part alone gives the rows it gives next to the others: nothing shared leaks between parts
+    for part in ABLATION_PARTS:
+        assert ablations[part][part] == ablations["all"][part]

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from turbfuse import harness
@@ -57,3 +58,19 @@ class TestVersionString:
         from_package = harness.version_string()
         monkeypatch.chdir(tmp_path)
         assert harness.version_string() == from_package
+
+
+class TestPairScores:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_per_pair_loop_bitwise(self, dtype):
+        rng = np.random.default_rng(5)
+        fn = rng.standard_normal((200, 64)).astype(dtype)
+        pn = rng.standard_normal((200, 64)).astype(dtype)
+        fn /= np.linalg.norm(fn, axis=1, keepdims=True)
+        pn /= np.linalg.norm(pn, axis=1, keepdims=True)
+        index_a = rng.integers(0, 200, 6000)
+        index_b = rng.integers(0, 200, 6000)
+        loop = np.array([float(fn[a] @ pn[b]) for a, b in zip(index_a, index_b)])
+        got = harness.pair_scores(fn, pn, index_a, index_b)
+        assert got.dtype == np.float64
+        assert (got == loop).all()
