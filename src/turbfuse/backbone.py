@@ -3,7 +3,8 @@
 The pretrained copy is frozen as the low-quality branch; a clone of it
 initializes the trainable high-quality branch, so both branches start
 bitwise-identical. ResNet-depth networks are out of scope; depth/width
-are config keys.
+are config keys. ``pretrain`` builds the parameters and the per-batch loss;
+the training loop is ``optim.fit``, shared with adapter training.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
-from .optim import SGD
+from .optim import FitConfig, fit
 from .tensor import Tensor
 
 
@@ -125,29 +126,14 @@ class PretrainResult:
 
 
 def pretrain(
-    images,
-    labels,
-    cfg: BackboneConfig,
-    margin: MarginParams,
-    *,
-    epochs=5,
-    batch_size=32,
-    lr=0.02,
-    momentum=0.9,
-    weight_decay=5e-4,
-    warmup_steps=None,
-    poly_power=0.9,
-    seed=0,
-    log_every=0,
+    images, labels, cfg: BackboneConfig, margin: MarginParams, *, epochs=5, batch_size=32, lr=0.02, warmup_steps=50, seed=0
 ):
     """Train a fresh backbone + classifier head on clean images.
 
-    images: (N, H, W) float array in [0, 1]; labels: int array. Uses
-    momentum SGD under a linear-warmup / polynomial-decay schedule.
-    Raises TrainingError on divergence (NaN loss).
+    images: (N, H, W) float array in [0, 1]; labels: int array. Runs
+    ``optim.fit`` with the ``FitConfig`` defaults for momentum, weight
+    decay and decay power. Raises TrainingError on divergence (NaN loss).
     """
-    from .trainer import lr_at  # local import to avoid a cycle
-
     images = np.asarray(images)
     labels = np.asarray(labels)
     n = images.shape[0]
@@ -160,30 +146,10 @@ def pretrain(
     head = ClassifierHead.init(rng, n_classes, cfg.embed_dim)
     tensors = dict(params.tensors())
     tensors["head.weights"] = head.weights
-    opt = SGD(tensors, lr=lr, momentum=momentum, weight_decay=weight_decay)
 
-    steps_per_epoch = max(1, n // batch_size)
-    total_steps = epochs * steps_per_epoch
-    if warmup_steps is None or warmup_steps >= total_steps:
-        warmup_steps = max(1, total_steps // 10)
+    def batch_loss(idx):
+        return angular_margin_loss(embed(images[idx], params), labels[idx], head, margin)
 
-    history = []
-    step = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for bi in range(steps_per_epoch):
-            idx = order[bi * batch_size : (bi + 1) * batch_size]
-            feats = embed(images[idx], params)
-            loss = angular_margin_loss(feats, labels[idx], head, margin)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError("pretraining diverged (non-finite loss)", step=step, history=history)
-            opt.zero_grad()
-            T.backward(loss)
-            opt.lr = lr_at(step, lr_base=lr, warmup_steps=warmup_steps, total_steps=total_steps, poly_power=poly_power)
-            opt.step()
-            history.append(value)
-            if log_every and step % log_every == 0:
-                print(f"pretrain step {step}: loss {value:.4f} lr {opt.lr:.5f}")
-            step += 1
-    return PretrainResult(params, head, history)
+    fit_cfg = FitConfig(batch_size=batch_size, epochs=epochs, lr_base=lr, warmup_steps=warmup_steps)
+    history = fit(tensors, batch_loss, n, rng, fit_cfg, "pretrain")
+    return PretrainResult(params, head, history.losses)

@@ -72,7 +72,6 @@ DEFAULTS = {
         "warmup_steps": 50,
         "poly_power": 0.9,
         "strategy": "adapter_joint",
-        "reuse_pretrain_head": False,
     },
     "eval": {
         "n_folds": 10,

@@ -10,6 +10,7 @@ once, embeds the clean gallery once and restores in memory.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 from pathlib import Path
@@ -21,22 +22,15 @@ from . import tensor as T
 from .backbone import BackboneConfig, BackboneParams, embed, pretrain
 from .config import config_hash
 from .datagen import DatasetManifest, load_images, make_pairs, synth_dataset
-from .errors import ContractError, DependencyError, EvaluationError, TrainingError
+from .errors import ConfigError, ContractError, DependencyError, EvaluationError, TrainingError
 from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .metrics import ScoreSet, VerificationReport, tar_at_far, top_k_hits, verification_accuracy
-from .optim import finite_diff_check
+from .optim import TrainHistory, finite_diff_check
 from .restore import RestoreConfig, restore
 from .tensor import Tensor
 from .tensorio import load_bundle, save_bundle, save_tensor
-from .trainer import (
-    STRATEGIES,
-    TrainConfig,
-    TrainHistory,
-    TrainResult,
-    probe_embeddings,
-    train_adapter,
-)
+from .trainer import STRATEGIES, TrainConfig, TrainResult, probe_embeddings, train_adapter
 from .turbsim import init_params, degrade, zernike_psf
 
 
@@ -109,6 +103,13 @@ def _restore_cfg(cfg, **overrides):
     return RestoreConfig(**r)
 
 
+def _check_wiener_psf(cfg):
+    """Wiener deconvolves with the degradation PSF, which must fit in the image."""
+    k, size = cfg["turbulence"]["kernel_size"], cfg["dataset"]["image_size"]
+    if k > size:
+        raise ConfigError(f"wiener restoration needs turbulence.kernel_size ({k}) <= dataset.image_size ({size})")
+
+
 def _image_seed(cfg_seed, meters, index):
     return np.random.SeedSequence([int(cfg_seed), int(meters), int(index)])
 
@@ -175,6 +176,8 @@ def cmd_degrade(cfg, out_dir=None):
 
 
 def cmd_restore(cfg, out_dir=None):
+    if cfg["restore"]["mode"] == "wiener":
+        _check_wiener_psf(cfg)
     out = _out(cfg, out_dir)
     manifest = _dataset_or_die(cfg, out_dir)
     params = _turb_params(cfg)
@@ -205,8 +208,7 @@ def _backbone_cfg(cfg):
 
 
 def _margin(cfg):
-    m = cfg["loss"]
-    return MarginParams(m["m1"], m["m2"], m["m3"], m["s"])
+    return MarginParams(**cfg["loss"])
 
 
 def cmd_pretrain(cfg, out_dir=None):
@@ -255,32 +257,16 @@ def _load_backbone(cfg, out, trainable=False):
 
 
 def _fusion_cfg(cfg):
-    f = cfg["fusion"]
-    return FusionConfig(
-        d_model=cfg["backbone"]["embed_dim"],
-        ffn_hidden=f["ffn_hidden"],
-        attention_order=f["attention_order"],
-        role_variant=f["role_variant"],
-        cascade_depth=f["cascade_depth"],
-        use_residual=f["use_residual"],
-        block_norm=f["block_norm"],
-    )
+    return FusionConfig(d_model=cfg["backbone"]["embed_dim"], **cfg["fusion"])
 
 
 def _train_cfg(cfg, strategy=None, seed=None, epochs=None):
-    t = cfg["train"]
-    return TrainConfig(
-        batch_size=t["batch_size"],
-        epochs=epochs if epochs is not None else t["epochs"],
-        lr_base=t["lr_base"],
-        momentum=t["momentum"],
-        weight_decay=t["weight_decay"],
-        warmup_steps=t["warmup_steps"],
-        poly_power=t["poly_power"],
-        seed=cfg["seed"] if seed is None else seed,
-        strategy=strategy or t["strategy"],
-        reuse_pretrain_head=t["reuse_pretrain_head"],
-    )
+    t = dict(cfg["train"], seed=cfg["seed"] if seed is None else seed)
+    if strategy is not None:
+        t["strategy"] = strategy
+    if epochs is not None:
+        t["epochs"] = epochs
+    return TrainConfig(**t)
 
 
 def _train_stacks(cfg, out):
@@ -634,15 +620,7 @@ def _fusion_grid(inputs):
             lq_train, restored_train, labels_train, inputs.frozen, _fusion_cfg(vcfg), _margin(vcfg), tcfg
         )
         report, _ = inputs.evaluate(vcfg, "adapter_joint", result, lq_test, restored_test)
-        gc_cfg = FusionConfig(
-            d_model=16,
-            ffn_hidden=32,
-            attention_order=fdict["attention_order"],
-            role_variant=fdict["role_variant"],
-            cascade_depth=fdict["cascade_depth"],
-            use_residual=fdict["use_residual"],
-            block_norm=fdict["block_norm"],
-        )
+        gc_cfg = dataclasses.replace(_fusion_cfg(vcfg), d_model=16, ffn_hidden=32)
         err64 = full_pipeline_gradcheck(gc_cfg, np.float64, eps=1e-5, samples_per_tensor=2)
         err32 = full_pipeline_gradcheck(gc_cfg, np.float32, eps=3e-3, samples_per_tensor=2)
         rows.append(
@@ -717,9 +695,11 @@ ABLATION_PARTS = {
 
 
 def cmd_ablate(cfg, out_dir=None, fmt="json"):
+    parts = cfg["ablations"]["parts"]
+    if "restorer" in parts or cfg["restore"]["mode"] == "wiener":  # the restorer sweep has a wiener row
+        _check_wiener_psf(cfg)
     out = _out(cfg, out_dir)
     inputs = _AblateInputs(cfg, out_dir, _load_backbone(cfg, out_dir, trainable=False))
-    parts = cfg["ablations"]["parts"]
     results = {"command": "ablate", "config_hash": config_hash(cfg), "version": version_string()}
     for section, part in ABLATION_PARTS.items():
         if section in parts:

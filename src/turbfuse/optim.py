@@ -1,11 +1,20 @@
-"""SGD with momentum plus the finite-difference gradient checker."""
+"""SGD with momentum, the one training loop, and the finite-difference
+gradient checker.
+
+``fit`` is the training policy shared by ``backbone.pretrain`` and
+``trainer.train_adapter``: per-epoch shuffling, batching, the warmup /
+polynomial-decay schedule, the divergence check and the SGD updates. Its
+callers bring only their parameters and a per-batch loss.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .errors import ContractError, EvaluationError, ShapeError
-from .tensor import Tensor, backward, no_grad
+from .errors import ContractError, EvaluationError, ShapeError, TrainingError
+from .tensor import backward, no_grad
 
 
 class SGD:
@@ -48,17 +57,89 @@ class SGD:
             p.data -= self.lr * v
 
 
-def sgd_step(params, grads, state):
-    """Functional form of the update used by :class:`SGD`."""
-    if len(params) != len(grads) or len(params) != len(state.buffers):
-        raise ShapeError("params, grads and buffers must align")
-    for p, g, v in zip(params, grads, state.buffers):
-        if g.shape != p.data.shape or v.shape != p.data.shape:
-            raise ShapeError("gradient/buffer shape does not match parameter")
-        gg = g + state.weight_decay * p.data if state.weight_decay else g
-        v *= state.momentum
-        v += gg
-        p.data -= state.lr * v
+@dataclass
+class FitConfig:
+    """Hyperparameters of one ``fit`` run."""
+
+    batch_size: int = 32
+    epochs: int = 5
+    lr_base: float = 0.02
+    momentum: float = 0.9
+    weight_decay: float = 5e-4
+    warmup_steps: int = 50
+    poly_power: float = 0.9
+
+
+@dataclass
+class TrainHistory:
+    steps: list = field(default_factory=list)  # (step, loss, lr)
+    epoch_loss: list = field(default_factory=list)
+
+    def record(self, step, loss, lr):
+        self.steps.append((step, float(loss), float(lr)))
+
+    @property
+    def losses(self):
+        return [loss for _, loss, _ in self.steps]
+
+    def to_jsonl(self):
+        return "\n".join(f'{{"step": {s}, "loss": {l}, "lr": {r}}}' for s, l, r in self.steps)
+
+
+def lr_at(step, lr_base, warmup_steps, total_steps, poly_power):
+    """Linear warmup to lr_base, then polynomial decay to zero.
+
+    step < warmup: lr_base*(step+1)/warmup; afterwards
+    lr_base*(1 - (step-warmup)/(total-warmup))**poly_power.
+    """
+    if warmup_steps >= total_steps:
+        raise ContractError("warmup_steps must be smaller than total_steps")
+    if not 0 <= step <= total_steps:
+        raise ContractError(f"step {step} outside [0, {total_steps}]")
+    if step < warmup_steps:
+        return lr_base * (step + 1) / warmup_steps
+    frac = (step - warmup_steps) / (total_steps - warmup_steps)
+    return lr_base * (1.0 - frac) ** poly_power
+
+
+def fit(tensors, batch_loss, n, rng, cfg: FitConfig, name):
+    """Train ``tensors`` (a name -> Tensor dict) on ``n`` samples; returns
+    the TrainHistory.
+
+    Each epoch draws ``rng.permutation(n)`` and feeds ``batch_loss`` the
+    index array of each full batch (one batch of all ``n`` when ``n`` is
+    smaller than the batch size). A non-finite loss raises TrainingError
+    carrying the history so far and a copy of the tensors as they stood at
+    the end of the last full epoch (their initial values in the first).
+    """
+    opt = SGD(tensors, lr=cfg.lr_base, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    steps_per_epoch = max(1, n // cfg.batch_size)
+    total_steps = cfg.epochs * steps_per_epoch
+    # configs written for full-size runs stay valid on tiny datasets
+    warmup = cfg.warmup_steps if cfg.warmup_steps < total_steps else max(1, total_steps // 5)
+
+    history = TrainHistory()
+    checkpoint = {k: t.data.copy() for k, t in tensors.items()}
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for bi in range(steps_per_epoch):
+            loss = batch_loss(order[bi * cfg.batch_size : (bi + 1) * cfg.batch_size])
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingError(
+                    f"{name} diverged at step {step}", step=step, checkpoint=checkpoint, history=history
+                )
+            opt.zero_grad()
+            backward(loss)
+            opt.lr = lr_at(step, cfg.lr_base, warmup, total_steps, cfg.poly_power)
+            opt.step()
+            history.record(step, value, opt.lr)
+            step += 1
+        checkpoint = {k: t.data.copy() for k, t in tensors.items()}
+    losses = history.losses
+    history.epoch_loss = [float(np.mean(losses[i : i + steps_per_epoch])) for i in range(0, step, steps_per_epoch)]
+    return history
 
 
 def finite_diff_check(f, params, eps=1e-5, samples_per_tensor=8, seed=0):

@@ -67,10 +67,25 @@ def test_eval_of_a_checkpoint_from_another_fusion_config_exits_3(trained, overri
     assert "run the `train` command" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["fusion.n_heads", "fusion.normalize_inputs"])
+@pytest.mark.parametrize("key", ["fusion.n_heads", "fusion.normalize_inputs", "train.reuse_pretrain_head"])
 def test_retired_fusion_keys_exit_2(config_path, tmp_path, key, capsys):
-    assert main(["gradcheck", "--config", str(config_path), "--out", str(tmp_path), "--set", f"{key}=2"]) == 2
+    # false is a value the last key accepted while it existed
+    assert main(["gradcheck", "--config", str(config_path), "--out", str(tmp_path), "--set", f"{key}=false"]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["restore", "ablate"])
+def test_wiener_psf_larger_than_the_image_exits_2_before_restoring(config_path, tmp_path, cmd, capsys):
+    # the default 23-px PSF does not fit in the 16-px images
+    for setup in ("synth", "degrade", "pretrain"):
+        assert main([setup, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    argv = [cmd, "--config", str(config_path), "--out", str(tmp_path)]
+    argv += ["--set", "restore.mode=wiener"] if cmd == "restore" else ["--set", 'ablations.parts=["restorer"]']
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "turbulence.kernel_size" in err and "dataset.image_size" in err
+    assert not (tmp_path / "restored").exists()
+    assert not (tmp_path / "reports").exists()
 
 
 def test_gradcheck_passes(config_path, tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from turbfuse import tensor as T
 from turbfuse.errors import ContractError, EvaluationError
-from turbfuse.optim import SGD, finite_diff_check, sgd_step
+from turbfuse.optim import SGD, finite_diff_check
 from turbfuse.tensor import Tensor
 
 
@@ -49,23 +49,6 @@ class TestSGD:
         opt.step()
         # v = 0 + (0 + 0.5*2) = 1; p = 2 - 0.1 = 1.9
         np.testing.assert_allclose(p.data, [1.9], rtol=1e-12)
-
-    def test_functional_form_matches_class(self):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal(4)
-        grads = [rng.standard_normal(4), rng.standard_normal(4)]
-
-        p1 = Tensor(data.copy(), requires_grad=True, dtype=np.float64)
-        opt = SGD([p1], lr=0.05, momentum=0.9, weight_decay=1e-2)
-        for g in grads:
-            p1.grad = g.copy()
-            opt.step()
-
-        p2 = Tensor(data.copy(), requires_grad=True, dtype=np.float64)
-        state = SGD([p2], lr=0.05, momentum=0.9, weight_decay=1e-2)
-        for g in grads:
-            sgd_step([p2], [g.copy()], state)
-        np.testing.assert_allclose(p1.data, p2.data, rtol=1e-12)
 
     def test_invalid_hyperparams(self):
         p = Tensor(np.zeros(1), requires_grad=True)

@@ -3,18 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from turbfuse.backbone import BackboneConfig, BackboneParams, embed
-from turbfuse.errors import ConfigError, ContractError
+from turbfuse.backbone import BackboneConfig, BackboneParams, embed, pretrain
+from turbfuse.errors import ConfigError, ContractError, TrainingError
 from turbfuse.fusion import FusionConfig, FusionParams, fuse, zero_fusion_output
 from turbfuse.margin import MarginParams
 from turbfuse.tensor import Tensor, no_grad
-from turbfuse.trainer import (
-    TrainConfig,
-    forward_framework,
-    lr_at,
-    probe_embeddings,
-    train_adapter,
-)
+from turbfuse.optim import lr_at
+from turbfuse.trainer import TrainConfig, forward_framework, probe_embeddings, train_adapter
 
 
 def setup_data(rng, n=24, size=16):
@@ -52,10 +47,6 @@ class TestLrSchedule:
             lr_at(101, lr_base=0.02, warmup_steps=10, total_steps=100, poly_power=0.9)
         with pytest.raises(ContractError):
             lr_at(-1, lr_base=0.02, warmup_steps=10, total_steps=100, poly_power=0.9)
-
-    def test_cfg_form(self):
-        cfg = TrainConfig(lr_base=0.04, warmup_steps=5, total_steps=50)
-        assert lr_at(5, cfg) == pytest.approx(0.04)
 
 
 class TestForwardFramework:
@@ -162,3 +153,41 @@ class TestTrainAdapter:
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(strategy="magic")
+
+
+class TestDivergence:
+    """Both trainings run the same loop, so both stop on a non-finite loss
+    with the history so far and a checkpoint of every tensor they train."""
+
+    @staticmethod
+    def check(err, shapes):
+        assert {k: a.shape for k, a in err.checkpoint.items()} == shapes
+        assert all(np.isfinite(a).all() for a in err.checkpoint.values())
+        assert err.step > 0
+        assert [s for s, _, _ in err.history.steps] == list(range(err.step))
+        assert np.isfinite(err.history.losses).all()
+
+    def test_pretrain(self):
+        rng = np.random.default_rng(9)
+        images = rng.random((16, 16, 16)).astype(np.float32)
+        labels = np.arange(16) % 4
+        bcfg = BackboneConfig(image_size=16, channels=(4, 8), embed_dim=8)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="pretrain diverged") as info:
+            pretrain(images, labels, bcfg, MarginParams(s=8.0), epochs=4, batch_size=4, lr=1e6, seed=0)
+        shapes = {k: t.shape for k, t in BackboneParams.init(rng, bcfg).tensors().items()}
+        shapes["head.weights"] = (4, 8)
+        self.check(info.value, shapes)
+
+    @pytest.mark.parametrize("strategy", ["finetune_restored", "adapter_joint"])
+    def test_train_adapter(self, strategy):
+        rng = np.random.default_rng(10)
+        lq, restored, labels = setup_data(rng, n=16)
+        frozen, fcfg = setup_models(rng)
+        cfg = TrainConfig(batch_size=4, epochs=4, lr_base=1e6, warmup_steps=1, strategy=strategy)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match=f"{strategy} diverged") as info:
+            train_adapter(lq, restored, labels, frozen, fcfg, MarginParams(s=8.0), cfg)
+        shapes = {k: t.shape for k, t in frozen.tensors("hq.").items()}
+        if strategy == "adapter_joint":
+            shapes.update({k: t.shape for k, t in FusionParams.init(rng, fcfg).tensors("fusion.").items()})
+        shapes["head.weights"] = (4, 8)
+        self.check(info.value, shapes)
