@@ -121,7 +121,6 @@ def embed(images, p: BackboneParams):
 @dataclass
 class PretrainResult:
     params: BackboneParams
-    head: ClassifierHead
     loss_history: list
 
 
@@ -134,6 +133,7 @@ def pretrain(
     ``optim.fit`` with the ``FitConfig`` defaults for momentum, weight
     decay and decay power. Raises TrainingError on divergence (NaN loss).
     """
+    fit_cfg = FitConfig(batch_size=batch_size, epochs=epochs, lr_base=lr, warmup_steps=warmup_steps)
     images = np.asarray(images)
     labels = np.asarray(labels)
     n = images.shape[0]
@@ -150,6 +150,5 @@ def pretrain(
     def batch_loss(idx):
         return angular_margin_loss(embed(images[idx], params), labels[idx], head, margin)
 
-    fit_cfg = FitConfig(batch_size=batch_size, epochs=epochs, lr_base=lr, warmup_steps=warmup_steps)
     history = fit(tensors, batch_loss, n, rng, fit_cfg, "pretrain")
-    return PretrainResult(params, head, history.losses)
+    return PretrainResult(params, history.losses)

@@ -14,13 +14,9 @@ import json
 import os
 import sys
 
-# single-threaded BLAS keeps every command bitwise reproducible
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-from .config import load_config  # noqa: E402
-from .errors import ConfigError, ContractError, DependencyError, EvaluationError, TrainingError  # noqa: E402
-from .harness import COMMANDS, run  # noqa: E402
+from .config import load_config
+from .errors import ConfigError, ContractError, DependencyError, EvaluationError, TrainingError
+from .harness import COMMANDS, run
 
 
 def build_parser():

@@ -2,10 +2,21 @@
 
 Commands: synth, degrade, restore, pretrain, train, eval, ablate,
 gradcheck. Every command is a pure function of (config, seed): re-running
-with the same inputs rewrites byte-identical artifacts. Dataset, degraded,
-restored and checkpoint artifacts live under the config's output_dir. The
-ablation command loads the dataset once, degrades each (split, intensity)
-once, embeds the clean gallery once and restores in memory.
+with the same inputs rewrites byte-identical artifacts. The ablation
+command loads the dataset once, degrades each (split, intensity) once,
+embeds the clean gallery once, draws the test pairs once and restores in
+memory.
+
+Artifacts live under the config's output_dir. Each kind a command reads
+has one loader, which raises DependencyError naming the command to (re-)run
+when the artifact is missing or does not fit the config:
+
+    dataset/  degraded/<tag>/  restored/<tag>/   _image_set
+    pretrain/backbone/                           _load_backbone -> _load_state
+    train/<strategy>/checkpoint/                 _load_train_result -> _load_state
+
+A checkpoint holds exactly the name -> Tensor dict ``optim.fit`` trains.
+Reports (histories, provenance.json, reports/) are never read back.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import subprocess
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +38,11 @@ from .errors import ConfigError, ContractError, DependencyError, EvaluationError
 from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .metrics import ScoreSet, VerificationReport, tar_at_far, top_k_hits, verification_accuracy
-from .optim import TrainHistory, finite_diff_check
+from .optim import finite_diff_check
 from .restore import RestoreConfig, restore
 from .tensor import Tensor
 from .tensorio import load_bundle, save_bundle, save_tensor
-from .trainer import STRATEGIES, TrainConfig, TrainResult, probe_embeddings, train_adapter
+from .trainer import STRATEGIES, TrainConfig, init_state, probe_embeddings, train_adapter
 from .turbsim import init_params, degrade, zernike_psf
 
 
@@ -84,11 +96,33 @@ def _out(cfg, out_dir=None):
     return Path(out_dir or cfg["output_dir"])
 
 
-def _dataset_or_die(cfg, out):
-    manifest_path = _out(cfg, out) / "dataset" / "manifest.json"
-    if not manifest_path.exists():
-        raise DependencyError("dataset not found; run the `synth` command first")
-    return DatasetManifest.load(manifest_path)
+def _image_set(cfg, out, kind):
+    """Manifest of one image set, plus a loader of its images by manifest
+    entries: the ``dataset``, or the ``degraded`` or ``restored`` set at the
+    config's intensity level."""
+    name = kind if kind == "dataset" else f"{kind}/{level_tag(cfg['turbulence']['intensity_meters'])}"
+    root = _out(cfg, out) / name
+    if not (root / "manifest.json").exists():
+        made_by = {"dataset": "synth", "degraded": "degrade", "restored": "restore"}[kind]
+        raise DependencyError(f"{name} not found; run the `{made_by}` command first")
+    return DatasetManifest.load(root / "manifest.json"), partial(load_images, root)
+
+
+def _load_state(dest, tensors, command):
+    """Fill ``tensors`` (name -> Tensor) in place from the bundle at ``dest``,
+    which must hold exactly the same names and shapes."""
+    if not (dest / "index.json").exists():
+        raise DependencyError(f"{dest} not found; run the `{command}` command first")
+    arrays = load_bundle(dest)
+    want = {k: t.shape for k, t in tensors.items()}
+    got = {k: a.shape for k, a in arrays.items()}
+    if got != want:
+        differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+        raise DependencyError(
+            f"{dest} was made under another config ({', '.join(differ)} differ); run the `{command}` command again"
+        )
+    for k, t in tensors.items():
+        t.data[...] = arrays[k]
 
 
 def _turb_params(cfg, meters=None):
@@ -154,10 +188,10 @@ def cmd_synth(cfg, out_dir=None):
 
 def cmd_degrade(cfg, out_dir=None):
     out = _out(cfg, out_dir)
-    manifest = _dataset_or_die(cfg, out_dir)
+    manifest, clean = _image_set(cfg, out_dir, "dataset")
     params = _turb_params(cfg)
     tag = level_tag(params.intensity_meters)
-    images, _ = load_images(out / "dataset", manifest.images)
+    images, _ = clean(manifest.images)
     degraded = degrade_stack(images.astype(np.float64), params, cfg["seed"])
     dest = out / "degraded" / tag
     for entry, img in zip(manifest.images, degraded):
@@ -179,14 +213,12 @@ def cmd_restore(cfg, out_dir=None):
     if cfg["restore"]["mode"] == "wiener":
         _check_wiener_psf(cfg)
     out = _out(cfg, out_dir)
-    manifest = _dataset_or_die(cfg, out_dir)
+    manifest, load_clean = _image_set(cfg, out_dir, "dataset")
+    _, load_degraded = _image_set(cfg, out_dir, "degraded")
     params = _turb_params(cfg)
     tag = level_tag(params.intensity_meters)
-    src = out / "degraded" / tag
-    if not (src / "manifest.json").exists():
-        raise DependencyError(f"degraded set {tag} not found; run the `degrade` command first")
-    clean, _ = load_images(out / "dataset", manifest.images)
-    degraded, _ = load_images(src, manifest.images)
+    clean, _ = load_clean(manifest.images)
+    degraded, _ = load_degraded(manifest.images)
     rcfg = _restore_cfg(cfg)
     restored = restore_stack(degraded.astype(np.float64), clean.astype(np.float64), params, rcfg, cfg["seed"])
     dest = out / "restored" / tag
@@ -213,8 +245,8 @@ def _margin(cfg):
 
 def cmd_pretrain(cfg, out_dir=None):
     out = _out(cfg, out_dir)
-    manifest = _dataset_or_die(cfg, out_dir)
-    images, labels = load_images(out / "dataset", manifest.split_images("train"))
+    manifest, clean = _image_set(cfg, out_dir, "dataset")
+    images, labels = clean(manifest.split_images("train"))
     b = cfg["backbone"]
     result = pretrain(
         images,
@@ -228,8 +260,7 @@ def cmd_pretrain(cfg, out_dir=None):
         seed=cfg["seed"],
     )
     dest = out / "pretrain"
-    save_bundle(dest / "backbone", {k: t.data for k, t in result.params.tensors().items()})
-    save_bundle(dest / "head", {"weights": result.head.weights.data})
+    save_bundle(dest / "backbone", result.params.tensors())
     drop = 1.0 - result.loss_history[-1] / max(result.loss_history[0], 1e-12)
     emit_report(
         {"loss_first": result.loss_history[0], "loss_last": result.loss_history[-1], "loss_drop": drop},
@@ -238,22 +269,11 @@ def cmd_pretrain(cfg, out_dir=None):
     return {"command": "pretrain", "steps": len(result.loss_history), "loss_drop": drop}
 
 
-def _backbone_from_bundle(cfg, arrays, prefix="", trainable=False):
-    """Backbone whose tensors are ``arrays[prefix + name]``."""
-    params = BackboneParams(_backbone_cfg(cfg))
-    for i in range(len(params.cfg.channels)):
-        params.conv_w.append(Tensor(arrays[f"{prefix}conv{i}.w"], requires_grad=trainable))
-        params.conv_b.append(Tensor(arrays[f"{prefix}conv{i}.b"], requires_grad=trainable))
-    params.dense_w = Tensor(arrays[f"{prefix}dense.w"], requires_grad=trainable)
-    params.dense_b = Tensor(arrays[f"{prefix}dense.b"], requires_grad=trainable)
+def _load_backbone(cfg, out):
+    """The pretrained backbone, frozen."""
+    params = BackboneParams.init(np.random.default_rng(0), _backbone_cfg(cfg), trainable=False)
+    _load_state(_out(cfg, out) / "pretrain" / "backbone", params.tensors(), "pretrain")
     return params
-
-
-def _load_backbone(cfg, out, trainable=False):
-    dest = _out(cfg, out) / "pretrain" / "backbone"
-    if not (dest / "index.json").exists():
-        raise DependencyError("pretrained backbone not found; run the `pretrain` command first")
-    return _backbone_from_bundle(cfg, load_bundle(dest), trainable=trainable)
 
 
 def _fusion_cfg(cfg):
@@ -269,72 +289,40 @@ def _train_cfg(cfg, strategy=None, seed=None, epochs=None):
     return TrainConfig(**t)
 
 
-def _train_stacks(cfg, out):
-    """Clean/degraded/restored train-split stacks from disk artifacts."""
-    out_p = _out(cfg, out)
-    manifest = _dataset_or_die(cfg, out)
-    tag = level_tag(cfg["turbulence"]["intensity_meters"])
-    entries = manifest.split_images("train")
-    if not (out_p / "degraded" / tag / "manifest.json").exists():
-        raise DependencyError(f"degraded set {tag} not found; run the `degrade` command first")
-    if not (out_p / "restored" / tag / "manifest.json").exists():
-        raise DependencyError(f"restored set {tag} not found; run the `restore` command first")
-    lq, labels = load_images(out_p / "degraded" / tag, entries)
-    restored, _ = load_images(out_p / "restored" / tag, entries)
-    return manifest, lq, restored, labels, tag
-
-
 def cmd_train(cfg, out_dir=None):
     out = _out(cfg, out_dir)
-    manifest, lq, restored, labels, tag = _train_stacks(cfg, out_dir)
-    frozen = _load_backbone(cfg, out_dir, trainable=False)
-    before = frozen.state_bytes()
     tcfg = _train_cfg(cfg)
+    manifest, load_degraded = _image_set(cfg, out_dir, "degraded")
+    _, load_restored = _image_set(cfg, out_dir, "restored")
+    frozen = _load_backbone(cfg, out_dir)
+    entries = manifest.split_images("train")
+    lq, labels = load_degraded(entries)
+    restored, _ = load_restored(entries)
+    before = frozen.state_bytes()
     result = train_adapter(lq, restored, labels, frozen, _fusion_cfg(cfg), _margin(cfg), tcfg)
     if frozen.state_bytes() != before:
         raise TrainingError(f"freeze contract broken: {tcfg.strategy} training changed the frozen backbone")
     dest = out / "train" / tcfg.strategy
     dest.mkdir(parents=True, exist_ok=True)
-    arrays = {}
-    if result.hq is not None:
-        arrays.update({f"hq.{k}": t.data for k, t in result.hq.tensors().items()})
-    if result.fusion_params is not None:
-        arrays.update({f"fusion.{k}": t.data for k, t in result.fusion_params.tensors().items()})
-    if result.head is not None:
-        arrays["head.weights"] = result.head.weights.data
-    if arrays:
-        save_bundle(dest / "checkpoint", arrays)
+    trained = result.tensors()
+    if trained:
+        save_bundle(dest / "checkpoint", trained)
     (dest / "history.jsonl").write_text(result.history.to_jsonl() + "\n", encoding="utf-8")
     return {
         "command": "train",
         "strategy": tcfg.strategy,
-        "level": tag,
+        "level": level_tag(cfg["turbulence"]["intensity_meters"]),
         "optimizer_steps": result.optimizer_steps,
         "final_epoch_loss": result.history.epoch_loss[-1] if result.history.epoch_loss else None,
     }
 
 
-def _load_train_result(cfg, out, strategy):
-    """Trained state of one strategy, checked against the config's fusion tensors."""
-    dest = _out(cfg, out) / "train" / strategy / "checkpoint"
-    if not (dest / "index.json").exists():
-        raise DependencyError(f"checkpoint for {strategy} not found; run the `train` command first")
-    arrays = load_bundle(dest)
-    hq = _backbone_from_bundle(cfg, arrays, prefix="hq.")
-
-    fusion_params = None
-    if strategy == "adapter_joint":
-        fusion_params = FusionParams.init(np.random.default_rng(0), _fusion_cfg(cfg))
-    want = fusion_params.tensors("fusion.") if fusion_params else {}
-    stored = {k: a for k, a in arrays.items() if k.startswith("fusion.")}
-    if {k: t.shape for k, t in want.items()} != {k: a.shape for k, a in stored.items()}:
-        raise DependencyError(
-            f"checkpoint for {strategy} was trained under another fusion config; run the `train` command again"
-        )
-    for k, t in want.items():
-        t.data[...] = stored[k]
-    head = ClassifierHead(Tensor(arrays["head.weights"])) if "head.weights" in arrays else None
-    return TrainResult(strategy, hq, fusion_params, head, TrainHistory(), -1)
+def _load_train_result(cfg, out, strategy, frozen):
+    """Trained state of ``finetune_restored`` or ``adapter_joint``."""
+    n_classes = cfg["dataset"]["n_identities"]
+    state = init_state(strategy, frozen, _fusion_cfg(cfg), n_classes, np.random.default_rng(0))
+    _load_state(_out(cfg, out) / "train" / strategy / "checkpoint", state.tensors(), "train")
+    return state
 
 
 def gallery_embeddings(clean_test, frozen):
@@ -354,18 +342,24 @@ def pair_scores(fn, pn, index_a, index_b):
     return (fn[index_a][:, None, :] @ pn[index_b][:, :, None])[:, 0, 0].astype(np.float64)
 
 
-def evaluate_strategy(cfg, strategy, manifest, frozen, result, gallery_embs, lq_test, restored_test, labels_test):
+def verification_pairs(cfg, manifest):
+    """The verification pairs of the test split that every evaluation scores."""
+    e = cfg["eval"]
+    return make_pairs(manifest, "test", e["n_genuine_pairs"], e["n_impostor_pairs"], seed=cfg["seed"])
+
+
+def evaluate_strategy(cfg, strategy, pairs, frozen, result, gallery_embs, lq_test, restored_test, labels_test):
     """Verification report for one strategy on the test split.
 
-    ``gallery_embs`` are the clean test images embedded by the frozen
-    baseline (``gallery_embeddings``); the probe side embeds degraded or
-    restored images the way the strategy prescribes.
+    ``pairs`` come from ``verification_pairs``. ``gallery_embs`` are the
+    clean test images embedded by the frozen baseline
+    (``gallery_embeddings``); the probe side embeds degraded or restored
+    images the way the strategy prescribes.
     """
     fcfg = _fusion_cfg(cfg)
     probe_embs = probe_embeddings(strategy, lq_test, restored_test, frozen, result, fcfg)
 
     e = cfg["eval"]
-    pairs = make_pairs(manifest, "test", e["n_genuine_pairs"], e["n_impostor_pairs"], seed=cfg["seed"])
     fn = gallery_embs / np.linalg.norm(gallery_embs, axis=1, keepdims=True)
     pn = probe_embs / np.linalg.norm(probe_embs, axis=1, keepdims=True)
     index_a = np.array([p.index_a for p in pairs], dtype=np.intp)
@@ -401,24 +395,23 @@ def evaluate_strategy(cfg, strategy, manifest, frozen, result, gallery_embs, lq_
 
 def cmd_eval(cfg, out_dir=None, fmt="json"):
     out = _out(cfg, out_dir)
-    manifest = _dataset_or_die(cfg, out_dir)
     tag = level_tag(cfg["turbulence"]["intensity_meters"])
+    manifest, load_clean = _image_set(cfg, out_dir, "dataset")
+    _, load_degraded = _image_set(cfg, out_dir, "degraded")
+    _, load_restored = _image_set(cfg, out_dir, "restored")
     entries = manifest.split_images("test")
-    clean_test, labels_test = load_images(out / "dataset", entries)
-    for sub, cmd in (("degraded", "degrade"), ("restored", "restore")):
-        if not (out / sub / tag / "manifest.json").exists():
-            raise DependencyError(f"{sub} set {tag} not found; run the `{cmd}` command first")
-    lq_test, _ = load_images(out / "degraded" / tag, entries)
-    restored_test, _ = load_images(out / "restored" / tag, entries)
-    frozen = _load_backbone(cfg, out_dir, trainable=False)
+    clean_test, labels_test = load_clean(entries)
+    lq_test, _ = load_degraded(entries)
+    restored_test, _ = load_restored(entries)
+    frozen = _load_backbone(cfg, out_dir)
 
     strategy = cfg["train"]["strategy"]
     result = None
     if strategy in ("finetune_restored", "adapter_joint"):
-        result = _load_train_result(cfg, out_dir, strategy)
+        result = _load_train_result(cfg, out_dir, strategy, frozen)
     gallery = gallery_embeddings(clean_test, frozen)
     report, score_set = evaluate_strategy(
-        cfg, strategy, manifest, frozen, result, gallery, lq_test, restored_test, labels_test
+        cfg, strategy, verification_pairs(cfg, manifest), frozen, result, gallery, lq_test, restored_test, labels_test
     )
     payload = {
         "command": "eval",
@@ -497,7 +490,7 @@ def cmd_gradcheck(cfg, out_dir=None):
 
 
 class _AblateInputs:
-    """What the parts of one `ablate` call share: the manifest, both clean
+    """What the parts of one `ablate` call share: the test pairs, both clean
     splits, the frozen backbone with its gallery embedding, and each
     degraded stack, made on first use once per (split, intensity).
 
@@ -506,13 +499,13 @@ class _AblateInputs:
     """
 
     def __init__(self, cfg, out_dir, frozen):
-        out = _out(cfg, out_dir)
         self.cfg = cfg
         self.frozen = frozen
-        self.manifest = _dataset_or_die(cfg, out_dir)
+        manifest, load_clean = _image_set(cfg, out_dir, "dataset")
+        self.pairs = verification_pairs(cfg, manifest)
         self.clean, self.labels = {}, {}
         for split in ("train", "test"):
-            self.clean[split], self.labels[split] = load_images(out / "dataset", self.manifest.split_images(split))
+            self.clean[split], self.labels[split] = load_clean(manifest.split_images(split))
         self.gallery = gallery_embeddings(self.clean["test"], frozen)
         self._degraded = {}
 
@@ -525,7 +518,7 @@ class _AblateInputs:
 
     def evaluate(self, cfg, strategy, result, lq_test, restored_test):
         return evaluate_strategy(
-            cfg, strategy, self.manifest, self.frozen, result, self.gallery, lq_test, restored_test, self.labels["test"]
+            cfg, strategy, self.pairs, self.frozen, result, self.gallery, lq_test, restored_test, self.labels["test"]
         )
 
 
@@ -699,7 +692,7 @@ def cmd_ablate(cfg, out_dir=None, fmt="json"):
     if "restorer" in parts or cfg["restore"]["mode"] == "wiener":  # the restorer sweep has a wiener row
         _check_wiener_psf(cfg)
     out = _out(cfg, out_dir)
-    inputs = _AblateInputs(cfg, out_dir, _load_backbone(cfg, out_dir, trainable=False))
+    inputs = _AblateInputs(cfg, out_dir, _load_backbone(cfg, out_dir))
     results = {"command": "ablate", "config_hash": config_hash(cfg), "version": version_string()}
     for section, part in ABLATION_PARTS.items():
         if section in parts:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, EvaluationError, ShapeError, TrainingError
+from .errors import ConfigError, ContractError, EvaluationError, ShapeError, TrainingError
 from .tensor import backward, no_grad
 
 
@@ -68,6 +68,12 @@ class FitConfig:
     weight_decay: float = 5e-4
     warmup_steps: int = 50
     poly_power: float = 0.9
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ConfigError(f"batch_size and epochs must be at least 1, got {self.batch_size} and {self.epochs}")
+        if self.lr_base <= 0:
+            raise ConfigError("lr_base must be positive")
 
 
 @dataclass

@@ -81,9 +81,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(())[()])
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def astype(self, dtype):
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 

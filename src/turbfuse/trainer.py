@@ -33,8 +33,7 @@ class TrainConfig(FitConfig):
     strategy: str = "adapter_joint"
 
     def __post_init__(self):
-        if self.lr_base <= 0:
-            raise ConfigError("lr_base must be positive")
+        super().__post_init__()
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
 
@@ -58,6 +57,20 @@ class TrainResult:
     head: ClassifierHead | None
     history: TrainHistory
     optimizer_steps: int
+
+    def tensors(self):
+        """The trained tensors by checkpoint name: ``hq.*``, ``fusion.*``, ``head.weights``."""
+        parts = (("hq.", self.hq), ("fusion.", self.fusion_params), ("head.", self.head))
+        return {k: t for prefix, part in parts if part is not None for k, t in part.tensors(prefix).items()}
+
+
+def init_state(strategy, frozen: BackboneParams, fusion_cfg: FusionConfig, n_classes, rng):
+    """Untrained state of ``finetune_restored`` or ``adapter_joint``: the HQ clone
+    of ``frozen``, then the head, then (adapter_joint) the fusion structure."""
+    hq = frozen.clone(trainable=True)
+    head = ClassifierHead.init(rng, n_classes, frozen.cfg.embed_dim)
+    fusion_params = FusionParams.init(rng, fusion_cfg) if strategy == "adapter_joint" else None
+    return TrainResult(strategy, hq, fusion_params, head, TrainHistory(), 0)
 
 
 def strategy_forward(strategy, lq_images, restored_images, frozen: BackboneParams, hq, fusion_params, fusion_cfg):
@@ -97,25 +110,17 @@ def train_adapter(
     n = len(labels)
     if n == 0:
         raise ContractError("training manifest is empty")
-    n_classes = int(labels.max()) + 1
     rng = np.random.default_rng(cfg.seed)
-
-    hq = frozen.clone(trainable=True)
-    head = ClassifierHead.init(rng, n_classes, frozen.cfg.embed_dim)
-    fusion_params = None
-    tensors = dict(hq.tensors("hq."))
-    if cfg.strategy == "adapter_joint":
-        fusion_params = FusionParams.init(rng, fusion_cfg)
-        tensors.update(fusion_params.tensors("fusion."))
-    tensors["head.weights"] = head.weights
+    state = init_state(cfg.strategy, frozen, fusion_cfg, int(labels.max()) + 1, rng)
 
     def batch_loss(idx):
         lq, restored = lq_images[idx], restored_images[idx]
-        feats = strategy_forward(cfg.strategy, lq, restored, frozen, hq, fusion_params, fusion_cfg)
-        return angular_margin_loss(feats, labels[idx], head, margin)
+        feats = strategy_forward(cfg.strategy, lq, restored, frozen, state.hq, state.fusion_params, fusion_cfg)
+        return angular_margin_loss(feats, labels[idx], state.head, margin)
 
-    history = fit(tensors, batch_loss, n, rng, cfg, cfg.strategy)
-    return TrainResult(cfg.strategy, hq, fusion_params, head, history, len(history.steps))
+    state.history = fit(state.tensors(), batch_loss, n, rng, cfg, cfg.strategy)
+    state.optimizer_steps = len(state.history.steps)
+    return state
 
 
 def probe_embeddings(strategy, lq_images, restored_images, frozen: BackboneParams, result: TrainResult | None, fusion_cfg: FusionConfig | None):

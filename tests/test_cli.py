@@ -1,11 +1,18 @@
-"""End-to-end CLI runs on a 16-px config: exit codes, byte-identical reruns
-and the work one `ablate` shares between its parts."""
+"""End-to-end CLI runs on a 16-px config: exit codes, byte-identical reruns,
+checkpoints checked against the config, and the work one `ablate` shares
+between its parts."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import turbfuse
 from turbfuse import harness
 from turbfuse.cli import main
 from turbfuse.config import DEFAULTS
@@ -67,6 +74,59 @@ def test_eval_of_a_checkpoint_from_another_fusion_config_exits_3(trained, overri
     assert "run the `train` command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cmd, override",
+    [
+        ("eval", "backbone.channels=[8, 8]"),
+        ("train", "backbone.channels=[8, 8]"),
+        ("ablate", "backbone.channels=[8, 8]"),
+        ("eval", "backbone.kernel=5"),
+    ],
+)
+def test_pretrained_backbone_from_another_config_exits_3(trained, cmd, override, capsys):
+    path, out = trained
+    argv = [cmd, "--config", str(path), "--out", str(out), "--set", override]
+    if cmd == "ablate":  # the restorer sweep's 23-px wiener PSF does not fit the 16-px images
+        argv += ["--set", 'ablations.parts=["intensity"]']
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "conv0.w" in err and "run the `pretrain` command" in err
+
+
+def test_train_checkpoint_from_another_backbone_config_exits_3(trained, tmp_path, capsys):
+    # a matching pretrained backbone, but the train checkpoint's hq branch still has the old shapes
+    path, out = trained
+    copy = tmp_path / "out"
+    for sub in ("dataset", "degraded", "restored", "train"):
+        shutil.copytree(out / sub, copy / sub)
+    argv = ["--config", str(path), "--out", str(copy), "--set", "backbone.channels=[8, 8]"]
+    assert main(["pretrain"] + argv) == 0
+    assert main(["eval"] + argv) == 3
+    err = capsys.readouterr().err
+    assert "hq.conv0.w" in err and "run the `train` command" in err
+
+
+@pytest.mark.parametrize(
+    "cmd, key",
+    [("pretrain", "backbone.epochs"), ("pretrain", "backbone.batch_size"), ("train", "train.epochs"), ("train", "train.batch_size")],
+)
+def test_empty_training_config_exits_2_before_writing(config_path, tmp_path, cmd, key, capsys):
+    for setup in PIPELINE[: PIPELINE.index(cmd)]:
+        assert main([setup, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    assert main([cmd, "--config", str(config_path), "--out", str(tmp_path), "--set", f"{key}=0"]) == 2
+    assert key.split(".")[1] in capsys.readouterr().err
+    assert not (tmp_path / cmd).exists()
+
+
+def test_importing_the_package_pins_blas_threads():
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(turbfuse.__file__).resolve().parents[1])
+    code = f"import os, turbfuse; print([os.environ[k] for k in {names!r}])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['1', '1', '1']"
+
+
 @pytest.mark.parametrize("key", ["fusion.n_heads", "fusion.normalize_inputs", "train.reuse_pretrain_head"])
 def test_retired_fusion_keys_exit_2(config_path, tmp_path, key, capsys):
     # false is a value the last key accepted while it existed
@@ -117,8 +177,8 @@ def ablations(trained):
     path, out = trained
     manifest = DatasetManifest.load(out / "dataset" / "manifest.json")
     clean_test, _ = load_images(out / "dataset", manifest.split_images("test"))
-    runs = {"degraded": [], "gallery": []}
-    real_degrade, real_embed = harness.degrade_stack, harness.embed
+    runs = {"degraded": [], "gallery": [], "pairs": 0}
+    real_degrade, real_embed, real_pairs = harness.degrade_stack, harness.embed, harness.make_pairs
 
     def counting_degrade(images, params, seed):
         runs["degraded"].append((len(images), params.intensity_meters))
@@ -129,11 +189,15 @@ def ablations(trained):
             runs["gallery"].append(len(images))
         return real_embed(images, params)
 
-    harness.degrade_stack, harness.embed = counting_degrade, counting_embed
+    def counting_pairs(*args, **kw):
+        runs["pairs"] += 1
+        return real_pairs(*args, **kw)
+
+    harness.degrade_stack, harness.embed, harness.make_pairs = counting_degrade, counting_embed, counting_pairs
     try:
         runs["all"] = run_ablate(path, out, ABLATION_PARTS)
     finally:
-        harness.degrade_stack, harness.embed = real_degrade, real_embed
+        harness.degrade_stack, harness.embed, harness.make_pairs = real_degrade, real_embed, real_pairs
     for part in ABLATION_PARTS:
         runs[part] = run_ablate(path, out, [part])
     return runs
@@ -155,6 +219,7 @@ def test_ablate_computes_each_distinct_input_once(ablations):
     want |= {(n_test, m) for m in ab["intensity_levels"]}
     assert sorted(ablations["degraded"]) == sorted(want)
     assert ablations["gallery"] == [n_test]
+    assert ablations["pairs"] == 1
     # each part alone gives the rows it gives next to the others: nothing shared leaks between parts
     for part in ABLATION_PARTS:
         assert ablations[part][part] == ablations["all"][part]

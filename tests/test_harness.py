@@ -8,6 +8,7 @@ from turbfuse import harness
 from turbfuse.config import load_config
 from turbfuse.errors import TrainingError
 from turbfuse.harness import _turb_params, cmd_degrade, cmd_pretrain, cmd_restore, cmd_synth, cmd_train
+from turbfuse.trainer import probe_embeddings
 
 
 @pytest.fixture
@@ -50,6 +51,41 @@ class TestFreezeContract:
         monkeypatch.setattr(harness, "train_adapter", mutating)
         with pytest.raises(TrainingError, match="freeze contract"):
             cmd_train(tiny_cfg)
+
+
+class TestCheckpointRoundTrip:
+    def test_pretrain_writes_only_the_backbone_and_its_history(self, tiny_cfg, tmp_path):
+        cmd_synth(tiny_cfg)
+        cmd_pretrain(tiny_cfg)
+        assert sorted(p.name for p in (tmp_path / "pretrain").iterdir()) == ["backbone", "history.json"]
+
+    @pytest.mark.parametrize("strategy", ["finetune_restored", "adapter_joint"])
+    def test_loaded_checkpoint_embeds_probes_like_the_trained_state(self, tiny_cfg, strategy, monkeypatch):
+        tiny_cfg["train"]["strategy"] = strategy
+        for cmd in (cmd_synth, cmd_degrade, cmd_restore, cmd_pretrain):
+            cmd(tiny_cfg)
+        trained = []
+        real = harness.train_adapter
+
+        def keeping(*args):
+            trained.append(real(*args))
+            return trained[-1]
+
+        monkeypatch.setattr(harness, "train_adapter", keeping)
+        cmd_train(tiny_cfg)
+        frozen = harness._load_backbone(tiny_cfg, None)
+        loaded = harness._load_train_result(tiny_cfg, None, strategy, frozen)
+        assert loaded.tensors().keys() == trained[0].tensors().keys()
+
+        manifest, load_degraded = harness._image_set(tiny_cfg, None, "degraded")
+        _, load_restored = harness._image_set(tiny_cfg, None, "restored")
+        entries = manifest.split_images("test")
+        lq, _ = load_degraded(entries)
+        restored, _ = load_restored(entries)
+        fcfg = harness._fusion_cfg(tiny_cfg)
+        want = probe_embeddings(strategy, lq, restored, frozen, trained[0], fcfg)
+        got = probe_embeddings(strategy, lq, restored, frozen, loaded, fcfg)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestVersionString:
