@@ -10,13 +10,13 @@ information, which is what the degradation benchmark exploits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import config_hash
 from .errors import ContractError
 from .tensorio import load_tensor, save_tensor
 
@@ -49,10 +49,6 @@ class DatasetManifest:
 
     def split_images(self, split):
         return [im for im in self.images if im.split == split]
-
-    def labels(self, split=None):
-        ims = self.images if split is None else self.split_images(split)
-        return sorted({im.label for im in ims})
 
     def save(self, path):
         payload = {
@@ -135,10 +131,6 @@ def render(identity: IdentitySpec, jitter_seed, image_size):
     return (0.5 + 0.45 * np.tanh(raw)).astype(np.float64)
 
 
-def _config_hash(payload):
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:16]
-
-
 def synth_dataset(
     out_dir,
     n_identities,
@@ -162,7 +154,7 @@ def synth_dataset(
 
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    cfg_hash = _config_hash(
+    cfg_hash = config_hash(
         {
             "n_identities": n_identities,
             "per_identity": per_identity,

@@ -212,17 +212,19 @@ def _fusion_stage(x_f, x_a, p: FusionParams, cfg: FusionConfig):
 def fuse(f_f, f_a, p: FusionParams, cfg: FusionConfig):
     """Fuse frozen-branch and trainable-branch features into one embedding.
 
-    f_f, f_a: (B, D). Returns (B, D): the residual-combined feature when
-    cfg.use_residual, otherwise the raw fusion output. cascade_depth > 1
-    repeats the stage, feeding each output back as the f_f-side input.
+    f_f, f_a: (B, D), f_a None when the variant never reads it (variant b).
+    Returns (B, D): the residual-combined feature when cfg.use_residual,
+    otherwise the raw fusion output. cascade_depth > 1 repeats the stage,
+    feeding each output back as the f_f-side input.
     """
-    if f_f.ndim != 2 or f_f.shape != f_a.shape:
-        raise ShapeError(f"fuse expects matching (B, D) inputs, got {f_f.shape} and {f_a.shape}")
+    shape_a = f_f.shape if f_a is None else f_a.shape
+    if f_f.ndim != 2 or f_f.shape != shape_a:
+        raise ShapeError(f"fuse expects matching (B, D) inputs, got {f_f.shape} and {shape_a}")
     if f_f.shape[1] != cfg.d_model:
         raise ConfigError(f"inputs have dim {f_f.shape[1]} but config d_model={cfg.d_model}")
     bsz, d = f_f.shape
     x_f = T.reshape(f_f, (bsz, 1, d))
-    x_a = T.reshape(f_a, (bsz, 1, d))
+    x_a = None if f_a is None else T.reshape(f_a, (bsz, 1, d))
 
     out = None
     for _ in range(cfg.cascade_depth):

@@ -21,7 +21,6 @@ way.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,18 +69,6 @@ class VerificationReport:
             "config": self.config,
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def cosine_similarity(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ContractError("cosine_similarity of a zero vector")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def cosine_matrix(a, b):

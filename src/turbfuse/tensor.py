@@ -73,9 +73,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self):
-        return self.data
-
     def item(self):
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -442,7 +439,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 # -- convolution --------------------------------------------------------------
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
+def conv2d(x, w, b=None, padding=0):
     """2-D convolution (cross-correlation), NCHW layout.
 
     x: (B, C, H, W), w: (O, C, kh, kw), b: (O,) or None. Implemented via
@@ -458,15 +455,15 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     hp, wp = xp.shape[2], xp.shape[3]
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    ho = hp - kh + 1
+    wo = wp - kw + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
 
     cols = np.empty((bsz, cin, kh, kw, ho, wo), dtype=xp.dtype)
     for ky in range(kh):
         for kx in range(kw):
-            cols[:, :, ky, kx] = xp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride]
+            cols[:, :, ky, kx] = xp[:, :, ky : ky + ho, kx : kx + wo]
     cols2 = cols.reshape(bsz, cin * kh * kw, ho * wo)
     w2 = w.data.reshape(cout, cin * kh * kw)
     out_data = np.matmul(w2, cols2).reshape(bsz, cout, ho, wo)
@@ -487,7 +484,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             gxp = np.zeros((bsz, cin, hp, wp), dtype=g.dtype)
             for ky in range(kh):
                 for kx in range(kw):
-                    gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += gcols[:, :, ky, kx]
+                    gxp[:, :, ky : ky + ho, kx : kx + wo] += gcols[:, :, ky, kx]
             if padding:
                 gxp = gxp[:, :, padding:-padding, padding:-padding]
             x._accumulate(gxp)

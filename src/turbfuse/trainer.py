@@ -22,7 +22,7 @@ from .errors import ConfigError, ContractError
 from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .optim import FitConfig, TrainHistory, fit
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 STRATEGIES = ("baseline_lq", "eval_restored", "finetune_restored", "adapter_joint")
 
@@ -38,15 +38,17 @@ class TrainConfig(FitConfig):
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
 
 
-def forward_framework(lq_images, restored_images, frozen: BackboneParams, hq: BackboneParams, fp: FusionParams, cfg: FusionConfig):
+def forward_framework(lq_images, restored_images, frozen: BackboneParams, hq: BackboneParams | None, fp: FusionParams, cfg: FusionConfig):
     """Probe embedding of the full framework: fuse(frozen(lq), hq(restored)).
 
-    The frozen branch runs off-tape, so no gradient ever reaches it.
+    The frozen branch runs off-tape, so no gradient ever reaches it. With
+    ``hq`` None (variant b, whose fusion never reads it) nothing embeds the
+    restored images.
     """
     with no_grad():
         f_f = embed(lq_images, frozen)
-    f_a = embed(restored_images, hq)
-    return fuse(Tensor(f_f.data), f_a, fp, cfg)
+    f_a = None if hq is None else embed(restored_images, hq)
+    return fuse(f_f, f_a, fp, cfg)
 
 
 @dataclass
@@ -66,8 +68,13 @@ class TrainResult:
 
 def init_state(strategy, frozen: BackboneParams, fusion_cfg: FusionConfig, n_classes, rng):
     """Untrained state of ``finetune_restored`` or ``adapter_joint``: the HQ clone
-    of ``frozen``, then the head, then (adapter_joint) the fusion structure."""
-    hq = frozen.clone(trainable=True)
+    of ``frozen``, then the head, then (adapter_joint) the fusion structure.
+    It holds exactly the tensors its output reads: a fusion that never reads
+    the HQ branch (``not fusion_cfg.hq_branch_live``) gets no clone. The clone
+    draws nothing from ``rng``, so the head and fusion draws are unchanged.
+    """
+    live = strategy == "finetune_restored" or fusion_cfg.hq_branch_live
+    hq = frozen.clone(trainable=True) if live else None
     head = ClassifierHead.init(rng, n_classes, frozen.cfg.embed_dim)
     fusion_params = FusionParams.init(rng, fusion_cfg) if strategy == "adapter_joint" else None
     return TrainResult(strategy, hq, fusion_params, head, TrainHistory(), 0)

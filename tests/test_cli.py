@@ -17,6 +17,7 @@ from turbfuse import harness
 from turbfuse.cli import main
 from turbfuse.config import DEFAULTS
 from turbfuse.datagen import DatasetManifest, load_images
+from turbfuse.tensorio import load_bundle, save_bundle
 
 PIPELINE = ("synth", "degrade", "restore", "pretrain", "train", "eval")
 
@@ -106,6 +107,25 @@ def test_train_checkpoint_from_another_backbone_config_exits_3(trained, tmp_path
     assert "hq.conv0.w" in err and "run the `train` command" in err
 
 
+def test_variant_b_checkpoint_with_an_hq_branch_exits_3(trained, tmp_path, capsys):
+    # a variant-b checkpoint as an older layout wrote it: the fusion plus an unused hq.* copy of the backbone
+    path, out = trained
+    copy = tmp_path / "out"
+    for sub in ("dataset", "degraded", "restored", "pretrain"):
+        shutil.copytree(out / sub, copy / sub)
+    argv = ["--config", str(path), "--out", str(copy), "--set", "fusion.role_variant=b"]
+    assert main(["train"] + argv) == 0
+    checkpoint = copy / "train" / "adapter_joint" / "checkpoint"
+    arrays = load_bundle(checkpoint)
+    assert not any(k.startswith("hq.") for k in arrays)
+    arrays.update({f"hq.{k}": a for k, a in load_bundle(copy / "pretrain" / "backbone").items()})
+    save_bundle(checkpoint, arrays)
+    capsys.readouterr()
+    assert main(["eval"] + argv) == 3
+    err = capsys.readouterr().err
+    assert "hq.conv0.w" in err and "run the `train` command" in err
+
+
 @pytest.mark.parametrize(
     "cmd, key",
     [("pretrain", "backbone.epochs"), ("pretrain", "backbone.batch_size"), ("train", "train.epochs"), ("train", "train.batch_size")],
@@ -166,7 +186,8 @@ ABLATION_PARTS = ["table3", "fusion_grid", "restorer", "intensity"]
 def run_ablate(path, out, parts):
     # wiener restoration needs a PSF no larger than the 16-px image
     sets = [f"ablations.parts={json.dumps(parts)}", "ablations.table3_seeds=[0, 1]", "turbulence.kernel_size=7"]
-    assert main(["ablate", "--config", str(path), "--out", str(out)] + [a for s in sets for a in ("--set", s)]) == 0
+    argv = ["ablate", "--config", str(path), "--out", str(out), "--format", "csv"]
+    assert main(argv + [a for s in sets for a in ("--set", s)]) == 0
     return json.loads((out / "reports" / "ablate.json").read_text())
 
 
@@ -198,6 +219,7 @@ def ablations(trained):
         runs["all"] = run_ablate(path, out, ABLATION_PARTS)
     finally:
         harness.degrade_stack, harness.embed, harness.make_pairs = real_degrade, real_embed, real_pairs
+    runs["csv"] = (out / "reports" / "ablate.csv").read_text()
     for part in ABLATION_PARTS:
         runs[part] = run_ablate(path, out, [part])
     return runs
@@ -223,3 +245,21 @@ def test_ablate_computes_each_distinct_input_once(ablations):
     # each part alone gives the rows it gives next to the others: nothing shared leaks between parts
     for part in ABLATION_PARTS:
         assert ablations[part][part] == ablations["all"][part]
+
+
+def test_ablate_csv_names_each_row_once(ablations):
+    header, *lines = ablations["csv"].splitlines()
+    assert header == "section,name,accuracy_pct"
+    keys = [tuple(line.split(",")[:2]) for line in lines]
+    assert len(keys) == len(set(keys)) == sum(len(ablations["all"][part]["rows"]) for part in ABLATION_PARTS)
+    restorer = [name for section, name in keys if section == "restorer"]
+    assert restorer == ["oracle_blend@0.0", "oracle_blend@0.5", "oracle_blend@1.0", "wiener"]
+
+
+def test_unknown_ablation_part_exits_2_before_loading(config_path, tmp_path, capsys):
+    # the output directory is empty: loading anything would exit 3 instead
+    argv = ["ablate", "--config", str(config_path), "--out", str(tmp_path), "--set", 'ablations.parts=["tabel3"]']
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "tabel3" in err and "table3" in err
+    assert not (tmp_path / "reports").exists()

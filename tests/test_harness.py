@@ -59,9 +59,17 @@ class TestCheckpointRoundTrip:
         cmd_pretrain(tiny_cfg)
         assert sorted(p.name for p in (tmp_path / "pretrain").iterdir()) == ["backbone", "history.json"]
 
-    @pytest.mark.parametrize("strategy", ["finetune_restored", "adapter_joint"])
-    def test_loaded_checkpoint_embeds_probes_like_the_trained_state(self, tiny_cfg, strategy, monkeypatch):
+    @pytest.mark.parametrize(
+        "strategy, variant",
+        [
+            pytest.param("finetune_restored", "d", id="finetune_restored"),
+            pytest.param("adapter_joint", "d", id="adapter_joint"),
+            pytest.param("adapter_joint", "b", id="adapter_joint-variant_b"),
+        ],
+    )
+    def test_loaded_checkpoint_embeds_probes_like_the_trained_state(self, tiny_cfg, tmp_path, strategy, variant, monkeypatch):
         tiny_cfg["train"]["strategy"] = strategy
+        tiny_cfg["fusion"]["role_variant"] = variant
         for cmd in (cmd_synth, cmd_degrade, cmd_restore, cmd_pretrain):
             cmd(tiny_cfg)
         trained = []
@@ -73,6 +81,9 @@ class TestCheckpointRoundTrip:
 
         monkeypatch.setattr(harness, "train_adapter", keeping)
         cmd_train(tiny_cfg)
+        # variant b's fusion never reads the restored branch, so nothing trains or stores one
+        names = json.loads((tmp_path / "train" / strategy / "checkpoint" / "index.json").read_text())
+        assert any(k.startswith("hq.") for k in names) == (variant != "b")
         frozen = harness._load_backbone(tiny_cfg, None)
         loaded = harness._load_train_result(tiny_cfg, None, strategy, frozen)
         assert loaded.tensors().keys() == trained[0].tensors().keys()

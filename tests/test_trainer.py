@@ -5,11 +5,18 @@ import pytest
 
 from turbfuse.backbone import BackboneConfig, BackboneParams, embed, pretrain
 from turbfuse.errors import ConfigError, ContractError, TrainingError
-from turbfuse.fusion import FusionConfig, FusionParams, fuse, zero_fusion_output
-from turbfuse.margin import MarginParams
-from turbfuse.tensor import Tensor, no_grad
+from turbfuse.fusion import ATTENTION_ORDERS, ROLE_VARIANTS, FusionConfig, FusionParams, fuse, zero_fusion_output
+from turbfuse.margin import MarginParams, angular_margin_loss
+from turbfuse.tensor import Tensor, backward, no_grad
 from turbfuse.optim import lr_at
-from turbfuse.trainer import TrainConfig, forward_framework, probe_embeddings, train_adapter
+from turbfuse.trainer import (
+    TrainConfig,
+    forward_framework,
+    init_state,
+    probe_embeddings,
+    strategy_forward,
+    train_adapter,
+)
 
 
 def setup_data(rng, n=24, size=16):
@@ -85,6 +92,40 @@ class TestForwardFramework:
             f_a = embed(restored, hq)
             expect = fuse(Tensor(f_f.data), f_a, fp, fcfg).data
         np.testing.assert_array_equal(out, expect)
+
+
+# every fusion-grid switch away from the defaults, and finetune_restored under
+# variant b, which still trains its backbone clone
+GRADIENT_REACH_CASES = [("finetune_restored", {}), ("finetune_restored", {"role_variant": "b"})]
+GRADIENT_REACH_CASES += [
+    ("adapter_joint", {"role_variant": v, "attention_order": o}) for v in ROLE_VARIANTS for o in ATTENTION_ORDERS
+]
+GRADIENT_REACH_CASES += [
+    ("adapter_joint", {"use_residual": False}),
+    ("adapter_joint", {"cascade_depth": 3}),
+    ("adapter_joint", {"block_norm": False}),
+]
+
+
+def case_id(value):
+    return value if isinstance(value, str) else ",".join(f"{k}={v}" for k, v in value.items()) or "defaults"
+
+
+class TestInitState:
+    @pytest.mark.parametrize("strategy, switches", GRADIENT_REACH_CASES, ids=case_id)
+    def test_every_trained_tensor_gets_a_gradient_from_one_batch(self, strategy, switches):
+        """The state holds exactly the tensors its output reads: variant b,
+        whose fusion ignores the restored branch, gets no HQ backbone."""
+        rng = np.random.default_rng(11)
+        lq, restored, labels = setup_data(rng, n=8)
+        frozen, fcfg = setup_models(rng)
+        fcfg = dataclasses.replace(fcfg, **switches)
+        state = init_state(strategy, frozen, fcfg, 4, rng)
+        feats = strategy_forward(strategy, lq, restored, frozen, state.hq, state.fusion_params, fcfg)
+        backward(angular_margin_loss(feats, labels, state.head, MarginParams(s=8.0)))
+        dead = [k for k, t in state.tensors().items() if t.grad is None or not np.any(t.grad)]
+        assert dead == []
+        assert (state.hq is None) == (strategy == "adapter_joint" and not fcfg.hq_branch_live)
 
 
 class TestTrainAdapter:
