@@ -3,15 +3,14 @@
     turbfuse <command> --config <path> [--set section.key=value]... [--out <dir>]
 
 Commands: synth, degrade, restore, pretrain, train, eval, ablate,
-gradcheck. TURBFUSE_SEED overrides the config seed. Exit codes: 0 success,
-2 config error, 3 missing upstream artifact, 4 numerical failure.
+gradcheck. Exit codes: 0 success, 2 config error, 3 missing upstream
+artifact, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .config import load_config
@@ -34,7 +33,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, sets=args.sets, seed_env=os.environ.get("TURBFUSE_SEED"))
+        cfg = load_config(args.config, sets=args.sets)
         result = run(args.command, cfg, out_dir=args.out, fmt=args.format)
     except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -123,12 +123,11 @@ def _merge_checked(defaults, override, path=""):
     return merged
 
 
-def load_config(path=None, sets=(), seed_env=None):
+def load_config(path=None, sets=()):
     """Load defaults, overlay a JSON file, then --set overrides.
 
     sets: iterable of "section.key=value" strings; values parse as JSON
-    literals, falling back to bare strings. seed_env: optional seed string
-    (from TURBFUSE_SEED) overriding everything.
+    literals, falling back to bare strings.
     """
     override = {}
     if path is not None:
@@ -157,12 +156,6 @@ def load_config(path=None, sets=(), seed_env=None):
             leaf = leaf[part]
         leaf[parts[-1]] = value
         cfg = _merge_checked(cfg, node)
-
-    if seed_env is not None:
-        try:
-            cfg["seed"] = int(seed_env)
-        except ValueError:
-            raise ConfigError(f"TURBFUSE_SEED must be an integer, got {seed_env!r}")
     return cfg
 
 

@@ -28,6 +28,8 @@ only with block_norm. Per role variant and attention order:
 
 (+sa) is live under self_first only. Cascading feeds the stage output back
 as the lq-side input (hq fixed); all stages share one parameter bundle.
+``FusionParams`` holds the ``FusionConfig`` it was built for, as
+``BackboneParams`` holds its ``BackboneConfig``; every forward reads it there.
 """
 
 from __future__ import annotations
@@ -108,10 +110,13 @@ class Projection:
 class FusionParams:
     """All trainable state of the fusion structure.
 
-    blocks maps each live attention block to its projections; norms holds
-    (gamma, beta) pairs for those blocks and ``ffn`` when block_norm is on.
+    ``cfg`` is the architecture the weights were built for and every
+    forward runs. blocks maps each live attention block to its projections;
+    norms holds (gamma, beta) pairs for those blocks and ``ffn`` when
+    block_norm is on.
     """
 
+    cfg: FusionConfig
     blocks: dict
     ffn_w1: Tensor
     ffn_b1: Tensor
@@ -120,13 +125,13 @@ class FusionParams:
     norms: dict = field(default_factory=dict)
 
     @classmethod
-    def init(cls, rng, cfg: FusionConfig, dtype=np.float32, trainable=True):
+    def init(cls, rng, cfg: FusionConfig, dtype=np.float32):
         d = cfg.d_model
         s1 = 1.0 / np.sqrt(d)
         s2 = 1.0 / np.sqrt(cfg.ffn_hidden)
 
         def t(a):
-            return Tensor(a, requires_grad=trainable, dtype=dtype)
+            return Tensor(a, requires_grad=True, dtype=dtype)
 
         blocks = {}
         for name in BLOCKS:
@@ -137,6 +142,7 @@ class FusionParams:
             if name in cfg.live_blocks:
                 blocks[name] = Projection(t(w[2]), t(w[3]), t(np.zeros(d)), t(np.zeros(d)))
         params = cls(
+            cfg=cfg,
             blocks=blocks,
             ffn_w1=t(rng.uniform(-s1, s1, (d, cfg.ffn_hidden))),
             ffn_b1=t(np.zeros(cfg.ffn_hidden)),
@@ -169,54 +175,56 @@ def attend(x_kv, p: Projection):
     return T.linear(T.linear(x_kv, p.wv, p.bv), p.wo, p.bo)
 
 
-def _norm(y, p: FusionParams, cfg: FusionConfig, block):
-    if cfg.block_norm:
+def _norm(y, p: FusionParams, block):
+    if p.cfg.block_norm:
         gamma, beta = p.norms[block]
         y = T.layer_norm(y, gamma, beta)
     return y
 
 
-def residual_block(x, x_kv, p: FusionParams, cfg: FusionConfig, block):
+def residual_block(x, x_kv, p: FusionParams, block):
     """norm(x + attend(x_kv)): a cross block, or a self block when x_kv is x."""
-    return _norm(T.add(x, attend(x_kv, p.blocks[block])), p, cfg, block)
+    return _norm(T.add(x, attend(x_kv, p.blocks[block])), p, block)
 
 
-def feed_forward(x, p: FusionParams, cfg: FusionConfig):
+def feed_forward(x, p: FusionParams):
     """dense -> ReLU -> dense with residual add and optional post-norm."""
     h = T.relu(T.linear(x, p.ffn_w1, p.ffn_b1))
     y = T.linear(h, p.ffn_w2, p.ffn_b2)
-    return _norm(T.add(x, y), p, cfg, "ffn")
+    return _norm(T.add(x, y), p, "ffn")
 
 
-def _fusion_stage(x_f, x_a, p: FusionParams, cfg: FusionConfig):
+def _fusion_stage(x_f, x_a, p: FusionParams):
     """One full fusion stage on (B, 1, D) tokens; returns the stage output."""
-    variant = cfg.role_variant
+    variant = p.cfg.role_variant
     if variant in ("a", "b"):
         kv = x_a if variant == "a" else x_f
     else:
         own, other = (x_a, x_f) if variant == "c" else (x_f, x_a)
         cross, own_self, other_self = _CHAINS[variant]
-        if cfg.attention_order == "cross_first":
-            y = residual_block(own, other, p, cfg, cross)
-            kv = residual_block(y, y, p, cfg, own_self)
+        if p.cfg.attention_order == "cross_first":
+            y = residual_block(own, other, p, cross)
+            kv = residual_block(y, y, p, own_self)
         else:  # self_first: each branch self-attends before the cross
-            own = residual_block(own, own, p, cfg, own_self)
-            other = residual_block(other, other, p, cfg, other_self)
-            kv = residual_block(own, other, p, cfg, cross)
+            own = residual_block(own, own, p, own_self)
+            other = residual_block(other, other, p, other_self)
+            kv = residual_block(own, other, p, cross)
     # CA3 stays residual-free, so the fusion branch vanishes exactly when its
     # output projection and the FFN are zeroed (the frozen-baseline bound).
-    fused = _norm(attend(kv, p.blocks["ca3"]), p, cfg, "ca3")
-    return feed_forward(fused, p, cfg)
+    fused = _norm(attend(kv, p.blocks["ca3"]), p, "ca3")
+    return feed_forward(fused, p)
 
 
-def fuse(f_f, f_a, p: FusionParams, cfg: FusionConfig):
-    """Fuse frozen-branch and trainable-branch features into one embedding.
+def fuse(f_f, f_a, p: FusionParams):
+    """Fuse frozen-branch and trainable-branch features into one embedding,
+    under the architecture ``p.cfg`` the weights were built for.
 
     f_f, f_a: (B, D), f_a None when the variant never reads it (variant b).
     Returns (B, D): the residual-combined feature when cfg.use_residual,
     otherwise the raw fusion output. cascade_depth > 1 repeats the stage,
     feeding each output back as the f_f-side input.
     """
+    cfg = p.cfg
     shape_a = f_f.shape if f_a is None else f_a.shape
     if f_f.ndim != 2 or f_f.shape != shape_a:
         raise ShapeError(f"fuse expects matching (B, D) inputs, got {f_f.shape} and {shape_a}")
@@ -228,7 +236,7 @@ def fuse(f_f, f_a, p: FusionParams, cfg: FusionConfig):
 
     out = None
     for _ in range(cfg.cascade_depth):
-        fusion = _fusion_stage(x_f, x_a, p, cfg)
+        fusion = _fusion_stage(x_f, x_a, p)
         out = T.add(x_f, fusion) if cfg.use_residual else fusion
         x_f = out
     return T.reshape(out, (bsz, d))

@@ -17,6 +17,8 @@ when the artifact is missing or does not fit the config:
 
 A checkpoint holds exactly the name -> Tensor dict ``optim.fit`` trains.
 Reports (histories, provenance.json, reports/) are never read back.
+A trained state's fusion weights carry the fusion config they were built
+for, so ``evaluate_strategy`` runs that architecture, whatever the run config.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .restore import RestoreConfig, restore
 from .tensor import Tensor
 from .tensorio import load_bundle, save_bundle, save_tensor
 from .trainer import STRATEGIES, TrainConfig, init_state, probe_embeddings, train_adapter
-from .turbsim import init_params, degrade, zernike_psf
+from .turbsim import degradation_psf, degrade, init_params
 
 
 def level_tag(meters):
@@ -156,12 +158,12 @@ def degrade_stack(images, params, cfg_seed):
 
 
 def restore_stack(degraded, clean, params, rcfg: RestoreConfig, cfg_seed, seed_salt=0):
-    """Restore a degraded stack; wiener mode rebuilds each image's PSF."""
+    """Restore a degraded stack; wiener mode deconvolves each image with the
+    PSF ``degrade_stack`` blurred it with."""
     out = []
     for i, img in enumerate(degraded):
         if rcfg.mode == "wiener":
-            psf_rng = np.random.default_rng(_image_seed(cfg_seed, params.intensity_meters, i).spawn(2)[1])
-            kern = zernike_psf(params, seed=psf_rng)
+            kern = degradation_psf(params, _image_seed(cfg_seed, params.intensity_meters, i))
             out.append(restore(img, rcfg, psf=kern))
         else:
             seed = np.random.SeedSequence([int(cfg_seed), int(seed_salt), i, 0xA27])
@@ -354,10 +356,11 @@ def evaluate_strategy(cfg, strategy, pairs, frozen, result, gallery_embs, lq_tes
     ``pairs`` come from ``verification_pairs``. ``gallery_embs`` are the
     clean test images embedded by the frozen baseline
     (``gallery_embeddings``); the probe side embeds degraded or restored
-    images the way the strategy prescribes.
+    images the way the strategy prescribes, under the architecture
+    ``result`` was built with; ``cfg`` supplies only the eval settings and
+    the seed.
     """
-    fcfg = _fusion_cfg(cfg)
-    probe_embs = probe_embeddings(strategy, lq_test, restored_test, frozen, result, fcfg)
+    probe_embs = probe_embeddings(strategy, lq_test, restored_test, frozen, result)
 
     e = cfg["eval"]
     fn = gallery_embs / np.linalg.norm(gallery_embs, axis=1, keepdims=True)
@@ -433,11 +436,13 @@ def cmd_eval(cfg, out_dir=None, fmt="json"):
 
 
 def full_pipeline_gradcheck(fcfg: FusionConfig, dtype, eps, samples_per_tensor, batch=4, n_classes=8, seed=0):
-    """Finite-difference check through embed -> fuse -> margin loss."""
+    """Finite-difference check through embed -> fuse -> margin loss. The HQ
+    branch is built and probed only when the fusion reads it, as in
+    ``init_state``."""
     rng = np.random.default_rng(seed)
     bcfg = BackboneConfig(image_size=8, channels=(2, 4), embed_dim=fcfg.d_model)
     frozen = BackboneParams.init(rng, bcfg, dtype=dtype, trainable=False)
-    hq = BackboneParams.init(rng, bcfg, dtype=dtype, trainable=True)
+    hq = BackboneParams.init(rng, bcfg, dtype=dtype) if fcfg.hq_branch_live else None
     fp = FusionParams.init(rng, fcfg, dtype=dtype)
     head = ClassifierHead.init(rng, n_classes, fcfg.d_model, dtype=dtype)
     head.weights.data[...] = rng.standard_normal((n_classes, fcfg.d_model)) * 0.1
@@ -446,7 +451,7 @@ def full_pipeline_gradcheck(fcfg: FusionConfig, dtype, eps, samples_per_tensor, 
     hq_imgs = rng.random((batch, 8, 8)).astype(dtype)
     labels = rng.integers(0, n_classes, batch)
 
-    params = dict(hq.tensors("hq."))
+    params = {} if hq is None else dict(hq.tensors("hq."))
     params.update(fp.tensors("fusion."))
     params["head.weights"] = head.weights
     # the frozen branch is a constant of the probed parameters: embed it once,
@@ -455,7 +460,7 @@ def full_pipeline_gradcheck(fcfg: FusionConfig, dtype, eps, samples_per_tensor, 
         f_lq = embed(lq.astype(dtype), frozen).data
 
     def f(ps):
-        feats = fuse(Tensor(f_lq), embed(hq_imgs, hq), fp, fcfg)
+        feats = fuse(Tensor(f_lq), None if hq is None else embed(hq_imgs, hq), fp)
         return angular_margin_loss(feats, labels, head, margin)
 
     return finite_diff_check(f, params, eps=eps, samples_per_tensor=samples_per_tensor, seed=seed)
@@ -582,26 +587,22 @@ def _table3(inputs):
 
 
 def _fusion_grid_variants(cfg):
+    """(name, FusionConfig) of each fusion-grid row: the run's fusion config with
+    one switch set from an ablation list, in list order, each distinct one once."""
     ab = cfg["ablations"]
-    base = cfg["fusion"]
+    base = _fusion_cfg(cfg)
     variants = []
-
-    def add(name, **kw):
-        v = dict(base)
-        v.update(kw)
-        key = json.dumps(v, sort_keys=True)
-        if key not in {x[2] for x in variants}:
-            variants.append((name, v, key))
-
-    for flag in ab["residual"]:
-        add(f"residual={flag}", use_residual=flag)
-    for depth in ab["cascade"]:
-        add(f"cascade={depth}", cascade_depth=depth)
-    for order in ab["attention_order"]:
-        add(f"order={order}", attention_order=order)
-    for rv in ab["role_variants"]:
-        add(f"variant={rv}", role_variant=rv)
-    return [(name, v) for name, v, _ in variants]
+    for values, label, field in (
+        (ab["residual"], "residual", "use_residual"),
+        (ab["cascade"], "cascade", "cascade_depth"),
+        (ab["attention_order"], "order", "attention_order"),
+        (ab["role_variants"], "variant", "role_variant"),
+    ):
+        for value in values:
+            fcfg = dataclasses.replace(base, **{field: value})
+            if fcfg not in [v for _, v in variants]:
+                variants.append((f"{label}={value}", fcfg))
+    return variants
 
 
 def _fusion_grid(inputs):
@@ -611,16 +612,12 @@ def _fusion_grid(inputs):
     lq_test, restored_test = data["test"]
     lq_train, restored_train = data["train"]
     labels_train = inputs.labels["train"]
+    tcfg = _train_cfg(cfg, strategy="adapter_joint", epochs=ab["grid_epochs"])
     rows = []
-    for name, fdict in _fusion_grid_variants(cfg):
-        vcfg = json.loads(json.dumps(cfg))
-        vcfg["fusion"].update(fdict)
-        tcfg = _train_cfg(vcfg, strategy="adapter_joint", epochs=ab["grid_epochs"])
-        result = train_adapter(
-            lq_train, restored_train, labels_train, inputs.frozen, _fusion_cfg(vcfg), _margin(vcfg), tcfg
-        )
-        report, _ = inputs.evaluate(vcfg, "adapter_joint", result, lq_test, restored_test)
-        gc_cfg = dataclasses.replace(_fusion_cfg(vcfg), d_model=16, ffn_hidden=32)
+    for name, fcfg in _fusion_grid_variants(cfg):
+        result = train_adapter(lq_train, restored_train, labels_train, inputs.frozen, fcfg, _margin(cfg), tcfg)
+        report, _ = inputs.evaluate(cfg, "adapter_joint", result, lq_test, restored_test)
+        gc_cfg = dataclasses.replace(fcfg, d_model=16, ffn_hidden=32)
         err64, err32, passed = gradcheck_fusion(gc_cfg, samples_per_tensor=2)
         rows.append(
             {

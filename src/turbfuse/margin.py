@@ -47,9 +47,9 @@ class ClassifierHead:
     weights: Tensor
 
     @classmethod
-    def init(cls, rng, n_classes, dim, dtype=np.float32, trainable=True):
+    def init(cls, rng, n_classes, dim, dtype=np.float32):
         w = rng.standard_normal((n_classes, dim)) * 0.01
-        return cls(Tensor(w, requires_grad=trainable, dtype=dtype))
+        return cls(Tensor(w, requires_grad=True, dtype=dtype))
 
     @property
     def n_classes(self):

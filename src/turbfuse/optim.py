@@ -121,8 +121,9 @@ def fit(tensors, batch_loss, n, rng, cfg: FitConfig, name):
     opt = SGD(tensors, lr=cfg.lr_base, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     steps_per_epoch = max(1, n // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    # configs written for full-size runs stay valid on tiny datasets
-    warmup = cfg.warmup_steps if cfg.warmup_steps < total_steps else max(1, total_steps // 5)
+    # configs written for full-size runs stay valid on tiny datasets; a
+    # one-step run gets no warmup and trains at lr_base
+    warmup = cfg.warmup_steps if cfg.warmup_steps < total_steps else min(max(1, total_steps // 5), total_steps - 1)
 
     history = TrainHistory()
     checkpoint = {k: t.data.copy() for k, t in tensors.items()}

@@ -171,7 +171,7 @@ def add(a, b):
     b = _as_tensor(b, a)
     out_data = a.data + b.data
 
-    def backward(g, out=None):
+    def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
@@ -185,7 +185,7 @@ def sub(a, b):
     b = _as_tensor(b, a)
     out_data = a.data - b.data
 
-    def backward(g, out=None):
+    def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
@@ -199,7 +199,7 @@ def mul(a, b):
     b = _as_tensor(b, a)
     out_data = a.data * b.data
 
-    def backward(g, out=None):
+    def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
@@ -209,9 +209,8 @@ def mul(a, b):
 
 
 def neg(a):
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(-g)
+    def backward(g):
+        a._accumulate(-g)
 
     return _make(-a.data, (a,), backward)
 
@@ -221,9 +220,8 @@ def power(a, p):
     p = float(p)
     out_data = a.data**p
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(g * p * a.data ** (p - 1.0))
+    def backward(g):
+        a._accumulate(g * p * a.data ** (p - 1.0))
 
     return _make(out_data, (a,), backward)
 
@@ -231,9 +229,8 @@ def power(a, p):
 def relu(a):
     mask = a.data > 0
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(g * mask)
+    def backward(g):
+        a._accumulate(g * mask)
 
     return _make(a.data * mask, (a,), backward)
 
@@ -241,17 +238,15 @@ def relu(a):
 def exp(a):
     out_data = np.exp(a.data)
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
+    def backward(g):
+        a._accumulate(g * out_data)
 
     return _make(out_data, (a,), backward)
 
 
 def log(a):
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
+    def backward(g):
+        a._accumulate(g / a.data)
 
     return _make(np.log(a.data), (a,), backward)
 
@@ -259,17 +254,15 @@ def log(a):
 def sqrt(a):
     out_data = np.sqrt(a.data)
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out_data)
+    def backward(g):
+        a._accumulate(g * 0.5 / out_data)
 
     return _make(out_data, (a,), backward)
 
 
 def cos(a):
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(-g * np.sin(a.data))
+    def backward(g):
+        a._accumulate(-g * np.sin(a.data))
 
     return _make(np.cos(a.data), (a,), backward)
 
@@ -277,9 +270,8 @@ def cos(a):
 def arccos(a):
     """Inverse cosine; callers must clamp away from ±1 first."""
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(-g / np.sqrt(1.0 - a.data * a.data))
+    def backward(g):
+        a._accumulate(-g / np.sqrt(1.0 - a.data * a.data))
 
     return _make(np.arccos(a.data), (a,), backward)
 
@@ -288,9 +280,8 @@ def clip(a, lo, hi):
     """Clamp values; gradient passes only where the input was not clipped."""
     mask = (a.data > lo) & (a.data < hi)
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(g * mask)
+    def backward(g):
+        a._accumulate(g * mask)
 
     return _make(np.clip(a.data, lo, hi), (a,), backward)
 
@@ -301,9 +292,8 @@ def clip(a, lo, hi):
 def reshape(a, shape):
     orig = a.shape
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(g.reshape(orig))
+    def backward(g):
+        a._accumulate(g.reshape(orig))
 
     return _make(a.data.reshape(shape), (a,), backward)
 
@@ -312,9 +302,8 @@ def transpose(a, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inv))
+    def backward(g):
+        a._accumulate(g.transpose(inv))
 
     return _make(a.data.transpose(axes), (a,), backward)
 
@@ -339,12 +328,11 @@ def tensor_sum(a, axis=None, keepdims=False):
     axes = _norm_axis(axis, a.ndim)
     out_data = a.data.sum(axis=axes, keepdims=keepdims)
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            gg = g
-            if not keepdims and a.ndim:
-                gg = np.expand_dims(gg, axes)
-            a._accumulate(np.broadcast_to(gg, a.shape).copy())
+    def backward(g):
+        gg = g
+        if not keepdims and a.ndim:
+            gg = np.expand_dims(gg, axes)
+        a._accumulate(np.broadcast_to(gg, a.shape).copy())
 
     return _make(out_data, (a,), backward)
 
@@ -354,12 +342,11 @@ def tensor_mean(a, axis=None, keepdims=False):
     count = int(np.prod([a.shape[ax] for ax in axes])) if a.ndim else 1
     out_data = a.data.mean(axis=axes, keepdims=keepdims)
 
-    def backward(g, out=None):
-        if a.requires_grad:
-            gg = g
-            if not keepdims and a.ndim:
-                gg = np.expand_dims(gg, axes)
-            a._accumulate(np.broadcast_to(gg, a.shape) / count)
+    def backward(g):
+        gg = g
+        if not keepdims and a.ndim:
+            gg = np.expand_dims(gg, axes)
+        a._accumulate(np.broadcast_to(gg, a.shape) / count)
 
     return _make(out_data, (a,), backward)
 
@@ -379,7 +366,7 @@ def matmul(a, b):
         raise ShapeError(f"matmul batch dims differ: {a.shape} x {b.shape}")
     out_data = np.matmul(a.data, b.data)
 
-    def backward(g, out=None):
+    def backward(g):
         if a.requires_grad:
             a._accumulate(np.matmul(g, b.data.swapaxes(-1, -2)))
         if b.requires_grad:
@@ -413,10 +400,9 @@ def softmax(x, axis):
     e = np.exp(shifted)
     out_data = e / e.sum(axis=ax, keepdims=True)
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            dot = (g * out_data).sum(axis=ax, keepdims=True)
-            x._accumulate(out_data * (g - dot))
+    def backward(g):
+        dot = (g * out_data).sum(axis=ax, keepdims=True)
+        x._accumulate(out_data * (g - dot))
 
     return _make(out_data, (x,), backward)
 
@@ -472,7 +458,7 @@ def conv2d(x, w, b=None, padding=0):
 
     parents = (x, w) if b is None else (x, w, b)
 
-    def backward(g, out=None):
+    def backward(g):
         g2 = g.reshape(bsz, cout, ho * wo)
         if b is not None and b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
@@ -506,14 +492,13 @@ def avg_pool2x2(x):
     else:
         out_data = ((x00 + x01) + (x10 + x11)) * 0.25
 
-    def backward(g, out=None):
-        if x.requires_grad:
-            gx = np.empty_like(xd)
-            gq = g * 0.25
-            for dy in (0, 1):
-                for dx in (0, 1):
-                    gx[:, :, dy::2, dx::2] = gq
-            x._accumulate(gx)
+    def backward(g):
+        gx = np.empty_like(xd)
+        gq = g * 0.25
+        for dy in (0, 1):
+            for dx in (0, 1):
+                gx[:, :, dy::2, dx::2] = gq
+        x._accumulate(gx)
 
     return _make(out_data, (x,), backward)
 

@@ -5,7 +5,10 @@ frozen model on degraded probes), ``eval_restored`` (no training, frozen
 model on restored probes), ``finetune_restored`` (unfreeze a backbone copy
 and train it on restored images only), and ``adapter_joint`` (the full
 dual-branch method). ``strategy_forward`` is each strategy's probe forward,
-shared by training and evaluation. The loop itself is ``optim.fit``, the
+shared by training and evaluation; it reads everything but the frozen
+backbone from the strategy's ``TrainResult``. The fusion config enters once,
+in ``init_state``, and travels inside the fusion weights, so a state always
+runs the architecture it was built with. The loop itself is ``optim.fit``, the
 same one ``backbone.pretrain`` runs; this module builds the parameters and
 the per-batch loss. The frozen branch is never registered with the
 optimizer, so its bytes are untouched by any run.
@@ -38,7 +41,7 @@ class TrainConfig(FitConfig):
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
 
 
-def forward_framework(lq_images, restored_images, frozen: BackboneParams, hq: BackboneParams | None, fp: FusionParams, cfg: FusionConfig):
+def forward_framework(lq_images, restored_images, frozen: BackboneParams, hq: BackboneParams | None, fp: FusionParams):
     """Probe embedding of the full framework: fuse(frozen(lq), hq(restored)).
 
     The frozen branch runs off-tape, so no gradient ever reaches it. With
@@ -48,7 +51,7 @@ def forward_framework(lq_images, restored_images, frozen: BackboneParams, hq: Ba
     with no_grad():
         f_f = embed(lq_images, frozen)
     f_a = None if hq is None else embed(restored_images, hq)
-    return fuse(f_f, f_a, fp, cfg)
+    return fuse(f_f, f_a, fp)
 
 
 @dataclass
@@ -80,16 +83,17 @@ def init_state(strategy, frozen: BackboneParams, fusion_cfg: FusionConfig, n_cla
     return TrainResult(strategy, hq, fusion_params, head, TrainHistory(), 0)
 
 
-def strategy_forward(strategy, lq_images, restored_images, frozen: BackboneParams, hq, fusion_params, fusion_cfg):
-    """Probe features of one strategy; training and evaluation share it."""
+def strategy_forward(strategy, lq_images, restored_images, frozen: BackboneParams, state: TrainResult | None):
+    """Probe features of one strategy from its state (None for the two
+    baselines); training and evaluation share it."""
     if strategy == "baseline_lq":
         return embed(lq_images, frozen)
     if strategy == "eval_restored":
         return embed(restored_images, frozen)
     if strategy == "finetune_restored":
-        return embed(restored_images, hq)
+        return embed(restored_images, state.hq)
     if strategy == "adapter_joint":
-        return forward_framework(lq_images, restored_images, frozen, hq, fusion_params, fusion_cfg)
+        return forward_framework(lq_images, restored_images, frozen, state.hq, state.fusion_params)
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
@@ -122,7 +126,7 @@ def train_adapter(
 
     def batch_loss(idx):
         lq, restored = lq_images[idx], restored_images[idx]
-        feats = strategy_forward(cfg.strategy, lq, restored, frozen, state.hq, state.fusion_params, fusion_cfg)
+        feats = strategy_forward(cfg.strategy, lq, restored, frozen, state)
         return angular_margin_loss(feats, labels[idx], state.head, margin)
 
     state.history = fit(state.tensors(), batch_loss, n, rng, cfg, cfg.strategy)
@@ -130,8 +134,7 @@ def train_adapter(
     return state
 
 
-def probe_embeddings(strategy, lq_images, restored_images, frozen: BackboneParams, result: TrainResult | None, fusion_cfg: FusionConfig | None):
+def probe_embeddings(strategy, lq_images, restored_images, frozen: BackboneParams, result: TrainResult | None):
     """Embed probe images the way each strategy is evaluated."""
-    hq, fusion_params = (result.hq, result.fusion_params) if result is not None else (None, None)
     with no_grad():
-        return strategy_forward(strategy, lq_images, restored_images, frozen, hq, fusion_params, fusion_cfg).data
+        return strategy_forward(strategy, lq_images, restored_images, frozen, result).data

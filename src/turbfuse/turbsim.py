@@ -301,14 +301,24 @@ def zernike_psf(p: TurbulenceParams, seed=None, coeffs=None):
 # -- end-to-end degradation ------------------------------------------------------
 
 
+def _child_rng(seed, i):
+    """Generator of the ``i``-th child a fresh ``seed.spawn`` makes, built
+    without spawning, so one seed object always gives the same children."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.default_rng(np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size))
+
+
+def degradation_psf(p: TurbulenceParams, seed):
+    """The PSF kernel ``degrade(image, p, seed)`` blurs with (tilt draws from child 0)."""
+    return zernike_psf(p, seed=_child_rng(seed, 1))
+
+
 def degrade(image, p: TurbulenceParams, seed):
     """Tilt then blur one image; deterministic in (image, params, seed)."""
     image = np.asarray(image, dtype=np.float64)
     if image.shape != (p.image_size, p.image_size):
         raise ShapeError(f"expected {p.image_size}x{p.image_size} image, got {image.shape}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    tilt_ss, psf_ss = ss.spawn(2)
-    tilted = apply_tilt(image, tilt_field(p, np.random.default_rng(tilt_ss)))
-    kern = zernike_psf(p, seed=np.random.default_rng(psf_ss))
+    tilted = apply_tilt(image, tilt_field(p, _child_rng(seed, 0)))
+    kern = degradation_psf(p, seed)
     blurred = nd_convolve(tilted, kern, mode="nearest")
     return np.clip(blurred, image.min(), image.max())

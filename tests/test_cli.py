@@ -138,6 +138,36 @@ def test_empty_training_config_exits_2_before_writing(config_path, tmp_path, cmd
     assert not (tmp_path / cmd).exists()
 
 
+@pytest.mark.parametrize(
+    "cmd, inputs, sets",
+    [
+        ("pretrain", ("dataset",), ("backbone.epochs=1", "backbone.batch_size=16")),
+        ("train", ("dataset", "degraded", "restored", "pretrain"), ("train.epochs=1", "train.batch_size=16")),
+    ],
+    ids=["pretrain", "train"],
+)
+def test_one_step_training_runs(trained, tmp_path, cmd, inputs, sets, capsys):
+    # one batch of all 16 train images, and no warmup_steps the run could fit
+    path, out = trained
+    for sub in inputs:
+        shutil.copytree(out / sub, tmp_path / sub)
+    argv = [cmd, "--config", str(path), "--out", str(tmp_path)] + [a for s in sets for a in ("--set", s)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["optimizer_steps" if cmd == "train" else "steps"] == 1
+
+
+def test_seed_comes_from_the_config_only(config_path, tmp_path, monkeypatch, capsys):
+    hashes = []
+    for env in (None, "5"):
+        if env is not None:
+            monkeypatch.setenv("TURBFUSE_SEED", env)
+        assert main(["synth", "--config", str(config_path), "--out", str(tmp_path / str(env))]) == 0
+        hashes.append(json.loads(capsys.readouterr().out.splitlines()[-1])["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_importing_the_package_pins_blas_threads():
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in names}

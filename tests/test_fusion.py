@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -96,83 +97,84 @@ class TestMultiHeadAttention:
 
 def small_setup(rng, d=8, block_norm=False, **kw):
     cfg = FusionConfig(d_model=d, ffn_hidden=2 * d, block_norm=block_norm, **kw)
-    return cfg, FusionParams.init(rng, cfg, dtype=np.float64)
+    return FusionParams.init(rng, cfg, dtype=np.float64)
 
 
 class TestBlocks:
     def test_cross_block_zero_query_identity_projections(self):
         rng = np.random.default_rng(4)
-        cfg, params = small_setup(rng, d=6)
+        params = small_setup(rng, d=6)
         params.blocks["ca2"] = identity_projection(6)
         x_kv = Tensor(rng.standard_normal((2, 1, 6)), dtype=np.float64)
         x_q = Tensor(np.zeros((2, 1, 6)), dtype=np.float64)
-        out = residual_block(x_q, x_kv, params, cfg, "ca2")
+        out = residual_block(x_q, x_kv, params, "ca2")
         np.testing.assert_allclose(out.data, x_kv.data, rtol=1e-12)
 
     def test_cross_block_residual_identity(self):
         rng = np.random.default_rng(5)
-        cfg, params = small_setup(rng)
+        params = small_setup(rng)
         params.blocks["ca2"].wo.data[...] = 0.0
         x_q = Tensor(rng.standard_normal((2, 1, 8)), dtype=np.float64)
         x_kv = Tensor(rng.standard_normal((2, 1, 8)), dtype=np.float64)
-        out = residual_block(x_q, x_kv, params, cfg, "ca2")
+        out = residual_block(x_q, x_kv, params, "ca2")
         np.testing.assert_allclose(out.data, x_q.data, rtol=1e-12)
 
     def test_cross_block_compositional(self):
         rng = np.random.default_rng(6)
-        cfg, params = small_setup(rng)
+        params = small_setup(rng)
         full = full_attention(rng, 8, proj=params.blocks["ca2"])
         x_q = rng.standard_normal((2, 1, 8))
         x_kv = rng.standard_normal((2, 1, 8))
-        out = residual_block(Tensor(x_q, dtype=np.float64), Tensor(x_kv, dtype=np.float64), params, cfg, "ca2")
+        out = residual_block(Tensor(x_q, dtype=np.float64), Tensor(x_kv, dtype=np.float64), params, "ca2")
         expect = x_q + mha_loop_oracle(x_q, x_kv, x_kv, full)
         np.testing.assert_allclose(out.data, expect, atol=1e-9)
 
     def test_self_block_equals_cross_on_same_input(self):
         """The cross block on (x, x) is full self-attention with a residual."""
         rng = np.random.default_rng(7)
-        cfg, params = small_setup(rng)
+        params = small_setup(rng)
         full = full_attention(rng, 8, proj=params.blocks["sa2"])
         x = rng.standard_normal((2, 1, 8))
         xt = Tensor(x, dtype=np.float64)
-        out = residual_block(xt, xt, params, cfg, "sa2")
+        out = residual_block(xt, xt, params, "sa2")
         np.testing.assert_allclose(out.data, x + mha_loop_oracle(x, x, x, full), atol=1e-9)
 
     def test_ffn_zero_weights_identity(self):
         rng = np.random.default_rng(8)
-        cfg, params = small_setup(rng)
+        params = small_setup(rng)
         for t in (params.ffn_w1, params.ffn_b1, params.ffn_w2, params.ffn_b2):
             t.data[...] = 0.0
         x = Tensor(rng.standard_normal((2, 1, 8)), dtype=np.float64)
-        out = feed_forward(x, params, cfg)
+        out = feed_forward(x, params)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_ffn_negative_preactivations_identity(self):
         rng = np.random.default_rng(9)
-        cfg, params = small_setup(rng)
+        params = small_setup(rng)
         params.ffn_w1.data[...] = 0.0
         params.ffn_b1.data[...] = -1.0  # ReLU kills the branch
         params.ffn_b2.data[...] = 0.0
         x = Tensor(rng.standard_normal((2, 1, 8)), dtype=np.float64)
-        out = feed_forward(x, params, cfg)
+        out = feed_forward(x, params)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_ffn_matches_two_matmul_recomputation(self):
         rng = np.random.default_rng(10)
-        cfg, params = small_setup(rng)
+        params = small_setup(rng)
         x = rng.standard_normal((2, 1, 8))
-        out = feed_forward(Tensor(x, dtype=np.float64), params, cfg)
+        out = feed_forward(Tensor(x, dtype=np.float64), params)
         h = np.maximum(0.0, x @ params.ffn_w1.data + params.ffn_b1.data)
         expect = x + (h @ params.ffn_w2.data + params.ffn_b2.data)
         np.testing.assert_allclose(out.data, expect, rtol=1e-10)
 
 
-def full_structure(rng, params, cfg):
+def full_structure(rng, params):
     """Full attention weights and norm pairs for all five blocks and the FFN.
 
     Live blocks share their value/output projections and norms with
     ``params``; the blocks ``params`` omits get random weights of their own.
     """
+    cfg = params.cfg
     full = {b: full_attention(rng, cfg.d_model, proj=params.blocks.get(b)) for b in BLOCKS}
     rand = lambda: Tensor(rng.standard_normal(cfg.d_model), dtype=np.float64)
     norms = {b: params.norms.get(b) or (rand(), rand()) for b in (*BLOCKS, "ffn")}
@@ -185,8 +187,9 @@ def np_layer_norm(x, gamma, beta, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gamma.data + beta.data
 
 
-def fuse_oracle(f_f, f_a, params, full, norms, cfg):
+def fuse_oracle(f_f, f_a, params, full, norms):
     """The five-block softmax-attention structure, every block computed in full."""
+    cfg = params.cfg
 
     def post(y, block):
         return np_layer_norm(y, *norms[block]) if cfg.block_norm else y
@@ -238,29 +241,29 @@ class TestFuse:
     def test_zero_forcing_returns_f_f(self):
         rng = np.random.default_rng(11)
         for block_norm in (False, True):
-            cfg, params = small_setup(rng, block_norm=block_norm)
+            params = small_setup(rng, block_norm=block_norm)
             zero_fusion_output(params)
             f_f = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
             f_a = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
-            out = fuse(f_f, f_a, params, cfg)
+            out = fuse(f_f, f_a, params)
             np.testing.assert_array_equal(out.data, f_f.data)
 
     def test_zero_forcing_no_residual_returns_zero(self):
         rng = np.random.default_rng(12)
-        cfg, params = small_setup(rng, use_residual=False)
+        params = small_setup(rng, use_residual=False)
         zero_fusion_output(params)
         f_f = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
         f_a = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
-        out = fuse(f_f, f_a, params, cfg)
+        out = fuse(f_f, f_a, params)
         np.testing.assert_array_equal(out.data, np.zeros((4, 8)))
 
     def test_depth_one_matches_manual_composition(self):
         rng = np.random.default_rng(13)
-        cfg, params = small_setup(rng)
-        full, _ = full_structure(rng, params, cfg)
+        params = small_setup(rng)
+        full, _ = full_structure(rng, params)
         f_f = rng.standard_normal((3, 8))
         f_a = rng.standard_normal((3, 8))
-        out = fuse(Tensor(f_f, dtype=np.float64), Tensor(f_a, dtype=np.float64), params, cfg)
+        out = fuse(Tensor(f_f, dtype=np.float64), Tensor(f_a, dtype=np.float64), params)
         expect = fuse_oracle_variant_d(f_f, f_a, params, full)
         np.testing.assert_allclose(out.data, expect, atol=1e-9)
 
@@ -285,9 +288,9 @@ class TestFuse:
             params = FusionParams.init(rng, cfg, dtype=np.float64)
             for t in params.tensors().values():
                 t.data[...] = 0.5 * rng.standard_normal(t.shape)
-            full, norms = full_structure(rng, params, cfg)
-            out = fuse(Tensor(f_f, dtype=np.float64), Tensor(f_a, dtype=np.float64), params, cfg)
-            expect = fuse_oracle(f_f, f_a, params, full, norms, cfg)
+            full, norms = full_structure(rng, params)
+            out = fuse(Tensor(f_f, dtype=np.float64), Tensor(f_a, dtype=np.float64), params)
+            expect = fuse_oracle(f_f, f_a, params, full, norms)
             np.testing.assert_allclose(out.data, expect, rtol=1e-10, atol=1e-10, err_msg=repr(cfg))
 
     @pytest.mark.parametrize("order", ATTENTION_ORDERS)
@@ -300,7 +303,7 @@ class TestFuse:
         f_f = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
         f_a = Tensor(rng.standard_normal((4, 8)), requires_grad=True, dtype=np.float64)
         mask = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
-        T.backward(T.mul(fuse(f_f, f_a, params, cfg), mask).mean())
+        T.backward(T.mul(fuse(f_f, f_a, params), mask).mean())
         dead = [k for k, t in params.tensors().items() if t.grad is None or not np.any(t.grad)]
         assert dead == []
         hq_live = f_a.grad is not None and bool(np.any(f_a.grad))
@@ -335,10 +338,10 @@ class TestFuse:
             for depth in (1, 3, 5):
                 for order in ("cross_first", "self_first"):
                     for block_norm in (False, True):
-                        cfg, params = small_setup(
+                        params = small_setup(
                             rng, role_variant=variant, cascade_depth=depth, attention_order=order, block_norm=block_norm
                         )
-                        out = fuse(f_f, f_a, params, cfg)
+                        out = fuse(f_f, f_a, params)
                         assert out.shape == (5, 8)
                         assert np.isfinite(out.data).all()
 
@@ -348,8 +351,8 @@ class TestFuse:
         f_a = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
         outs = {}
         for variant in ("a", "b", "c", "d"):
-            vcfg, params = small_setup(np.random.default_rng(15), role_variant=variant)
-            outs[variant] = fuse(f_f, f_a, params, vcfg).data
+            params = small_setup(np.random.default_rng(15), role_variant=variant)
+            outs[variant] = fuse(f_f, f_a, params).data
         keys = list(outs)
         for i in range(len(keys)):
             for j in range(i + 1, len(keys)):
@@ -357,31 +360,31 @@ class TestFuse:
 
     def test_residual_toggle_changes_output_by_exactly_f_f(self):
         rng = np.random.default_rng(16)
-        cfg_on, params = small_setup(rng)
-        cfg_off = FusionConfig(d_model=8, ffn_hidden=16, block_norm=False, use_residual=False)
+        params = small_setup(rng)
+        off_params = dataclasses.replace(params, cfg=dataclasses.replace(params.cfg, use_residual=False))
         f_f = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
         f_a = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
-        on = fuse(f_f, f_a, params, cfg_on).data
-        off = fuse(f_f, f_a, params, cfg_off).data
+        on = fuse(f_f, f_a, params).data
+        off = fuse(f_f, f_a, off_params).data
         np.testing.assert_allclose(on - off, f_f.data, atol=1e-12)
 
     def test_cascade_feeds_residual_back(self):
         rng = np.random.default_rng(17)
-        cfg1, params = small_setup(rng)
-        cfg2 = FusionConfig(d_model=8, ffn_hidden=16, block_norm=False, cascade_depth=2)
+        params = small_setup(rng)
+        params2 = dataclasses.replace(params, cfg=dataclasses.replace(params.cfg, cascade_depth=2))
         f_f = Tensor(rng.standard_normal((3, 8)), dtype=np.float64)
         f_a = Tensor(rng.standard_normal((3, 8)), dtype=np.float64)
-        once = fuse(f_f, f_a, params, cfg1)
-        again = fuse(once, f_a, params, cfg1)
-        twice = fuse(f_f, f_a, params, cfg2)
+        once = fuse(f_f, f_a, params)
+        again = fuse(once, f_a, params)
+        twice = fuse(f_f, f_a, params2)
         np.testing.assert_allclose(twice.data, again.data, rtol=1e-10)
 
     def test_inconsistent_config_rejected(self):
         rng = np.random.default_rng(18)
-        cfg, params = small_setup(rng)
+        params = small_setup(rng)
         f = Tensor(np.zeros((2, 4)), dtype=np.float64)
         with pytest.raises(ConfigError):
-            fuse(f, f, params, cfg)
+            fuse(f, f, params)
         with pytest.raises(ConfigError):
             FusionConfig(d_model=0)
         with pytest.raises(ConfigError):
@@ -397,7 +400,7 @@ class TestFuse:
         mask = Tensor(rng.standard_normal((4, 16)), dtype=np.float32)
 
         def f(ps):
-            return T.mul(fuse(f_f, f_a, params, cfg), mask).mean()
+            return T.mul(fuse(f_f, f_a, params), mask).mean()
 
         err = finite_diff_check(f, plist, eps=1e-2, samples_per_tensor=4, seed=0)
         assert err < 1e-3
@@ -414,7 +417,7 @@ class TestFuse:
                 mask = Tensor(rng.standard_normal((2, 8)), dtype=np.float64)
 
                 def f(ps):
-                    return T.mul(fuse(f_f, f_a, params, cfg), mask).mean()
+                    return T.mul(fuse(f_f, f_a, params), mask).mean()
 
                 err = finite_diff_check(f, plist, eps=1e-5, samples_per_tensor=3, seed=1)
                 assert err < 1e-6, f"variant {variant} order {order}: {err}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from turbfuse import harness
 from turbfuse.config import load_config
 from turbfuse.errors import TrainingError
+from turbfuse.fusion import FusionConfig
 from turbfuse.harness import _turb_params, cmd_degrade, cmd_pretrain, cmd_restore, cmd_synth, cmd_train
 from turbfuse.trainer import probe_embeddings
 
@@ -93,10 +95,103 @@ class TestCheckpointRoundTrip:
         entries = manifest.split_images("test")
         lq, _ = load_degraded(entries)
         restored, _ = load_restored(entries)
-        fcfg = harness._fusion_cfg(tiny_cfg)
-        want = probe_embeddings(strategy, lq, restored, frozen, trained[0], fcfg)
-        got = probe_embeddings(strategy, lq, restored, frozen, loaded, fcfg)
+        want = probe_embeddings(strategy, lq, restored, frozen, trained[0])
+        got = probe_embeddings(strategy, lq, restored, frozen, loaded)
         assert got.tobytes() == want.tobytes()
+
+
+class TestEvaluateStrategy:
+    def test_runs_the_architecture_its_state_was_built_with(self, tiny_cfg):
+        # the test split of tests/test_cli.py, big enough for 4 folds of pairs
+        tiny_cfg["dataset"].update(n_test_identities=3, test_per_identity=4)
+        tiny_cfg["eval"].update(n_genuine_pairs=12, n_impostor_pairs=12, n_folds=4)
+        for cmd in (cmd_synth, cmd_degrade, cmd_restore, cmd_pretrain):
+            cmd(tiny_cfg)
+        frozen = harness._load_backbone(tiny_cfg, None)
+        manifest, load_clean = harness._image_set(tiny_cfg, None, "dataset")
+        _, load_degraded = harness._image_set(tiny_cfg, None, "degraded")
+        _, load_restored = harness._image_set(tiny_cfg, None, "restored")
+        train, test = manifest.split_images("train"), manifest.split_images("test")
+        deep_cfg = json.loads(json.dumps(tiny_cfg))
+        deep_cfg["fusion"]["cascade_depth"] = 3
+        lq, labels = load_degraded(train)
+        restored, _ = load_restored(train)
+        args = (frozen, harness._fusion_cfg(deep_cfg), harness._margin(tiny_cfg), harness._train_cfg(tiny_cfg))
+        result = harness.train_adapter(lq, restored, labels, *args)
+
+        clean_test, labels_test = load_clean(test)
+        lq_test, _ = load_degraded(test)
+        restored_test, _ = load_restored(test)
+        gallery = harness.gallery_embeddings(clean_test, frozen)
+        pairs = harness.verification_pairs(tiny_cfg, manifest)
+
+        def scores(cfg, state):
+            _, score_set = harness.evaluate_strategy(
+                cfg, "adapter_joint", pairs, frozen, state, gallery, lq_test, restored_test, labels_test
+            )
+            return score_set.scores.tobytes()
+
+        # the run config says cascade 1; the state was built, and is evaluated, at cascade 3
+        assert scores(tiny_cfg, result) == scores(deep_cfg, result)
+        assert result.fusion_params.cfg.cascade_depth == 3
+        # the same weights run at cascade 1 score differently, so the check above can fail
+        shallow = dataclasses.replace(result.fusion_params, cfg=harness._fusion_cfg(tiny_cfg))
+        assert scores(tiny_cfg, dataclasses.replace(result, fusion_params=shallow)) != scores(deep_cfg, result)
+
+
+# the fusion-grid rows of the default ablation lists, which the benchmark's
+# `ablate` workload also uses
+DEFAULT_GRID = [
+    "residual=True",
+    "residual=False",
+    "cascade=3",
+    "cascade=5",
+    "order=self_first",
+    "variant=a",
+    "variant=b",
+    "variant=c",
+]
+
+
+class TestFusionGrid:
+    @pytest.mark.parametrize(
+        "sets, names",
+        [
+            ([], DEFAULT_GRID),
+            (["ablations.cascade=[1, 3, 5]"], DEFAULT_GRID),
+            (
+                ["ablations.residual=[false, true]", "ablations.cascade=[3, 1, 3]", "ablations.role_variants=[\"d\", \"b\"]"],
+                ["residual=False", "residual=True", "cascade=3", "order=self_first", "variant=b"],
+            ),
+        ],
+        ids=["defaults", "benchmark", "reordered"],
+    )
+    def test_variants_keep_their_names_and_order(self, sets, names):
+        cfg = load_config(sets=sets)
+        variants = harness._fusion_grid_variants(cfg)
+        assert [name for name, _ in variants] == names
+        base = harness._fusion_cfg(cfg)
+        fields = {"residual": "use_residual", "cascade": "cascade_depth", "order": "attention_order", "variant": "role_variant"}
+        for name, fcfg in variants:
+            label, value = name.split("=")
+            assert fcfg == dataclasses.replace(base, **{fields[label]: getattr(fcfg, fields[label])})
+            assert str(getattr(fcfg, fields[label])) == value
+
+    @pytest.mark.parametrize("variant, probes_hq", [("b", False), ("d", True)])
+    def test_gradcheck_probes_the_hq_branch_only_when_the_fusion_reads_it(self, variant, probes_hq, monkeypatch):
+        probed = []
+        real = harness.finite_diff_check
+
+        def recording(f, params, **kw):
+            probed.extend(params)
+            return real(f, params, **kw)
+
+        monkeypatch.setattr(harness, "finite_diff_check", recording)
+        fcfg = FusionConfig(d_model=16, ffn_hidden=32, role_variant=variant)
+        err = harness.full_pipeline_gradcheck(fcfg, np.float64, eps=1e-5, samples_per_tensor=2)
+        assert any(k.startswith("hq.") for k in probed) == probes_hq
+        assert "head.weights" in probed and any(k.startswith("fusion.") for k in probed)
+        assert err < harness.GRADCHECK_TOL_F64
 
 
 class TestVersionString:

@@ -64,7 +64,7 @@ class TestForwardFramework:
         hq = frozen.clone(trainable=True)
         fp = FusionParams.init(rng, fcfg)
         zero_fusion_output(fp)
-        out = forward_framework(lq, restored, frozen, hq, fp, fcfg)
+        out = forward_framework(lq, restored, frozen, hq, fp)
         with no_grad():
             base = embed(lq, frozen)
         assert out.data.tobytes() == base.data.tobytes()
@@ -75,8 +75,8 @@ class TestForwardFramework:
         frozen, fcfg = setup_models(rng)
         hq = frozen.clone(trainable=True)
         fp = FusionParams.init(rng, fcfg)
-        a = forward_framework(lq, restored, frozen, hq, fp, fcfg).data
-        b = forward_framework(lq, restored, frozen, hq, fp, fcfg).data
+        a = forward_framework(lq, restored, frozen, hq, fp).data
+        b = forward_framework(lq, restored, frozen, hq, fp).data
         assert a.tobytes() == b.tobytes()
 
     def test_matches_manual_composition(self):
@@ -86,11 +86,11 @@ class TestForwardFramework:
         hq = frozen.clone(trainable=True)
         hq.dense_w.data += 0.01
         fp = FusionParams.init(rng, fcfg)
-        out = forward_framework(lq, restored, frozen, hq, fp, fcfg).data
+        out = forward_framework(lq, restored, frozen, hq, fp).data
         with no_grad():
             f_f = embed(lq, frozen)
             f_a = embed(restored, hq)
-            expect = fuse(Tensor(f_f.data), f_a, fp, fcfg).data
+            expect = fuse(Tensor(f_f.data), f_a, fp).data
         np.testing.assert_array_equal(out, expect)
 
 
@@ -121,7 +121,7 @@ class TestInitState:
         frozen, fcfg = setup_models(rng)
         fcfg = dataclasses.replace(fcfg, **switches)
         state = init_state(strategy, frozen, fcfg, 4, rng)
-        feats = strategy_forward(strategy, lq, restored, frozen, state.hq, state.fusion_params, fcfg)
+        feats = strategy_forward(strategy, lq, restored, frozen, state)
         backward(angular_margin_loss(feats, labels, state.head, MarginParams(s=8.0)))
         dead = [k for k, t in state.tensors().items() if t.grad is None or not np.any(t.grad)]
         assert dead == []
@@ -177,8 +177,8 @@ class TestTrainAdapter:
         cfg = TrainConfig(batch_size=8, epochs=1, lr_base=1e-30, warmup_steps=1, seed=3)
         res = train_adapter(lq, restored, labels, frozen, fcfg, MarginParams(s=8.0), cfg)
         zero_fusion_output(res.fusion_params)
-        probe = probe_embeddings("adapter_joint", lq, restored, frozen, res, fcfg)
-        base = probe_embeddings("baseline_lq", lq, restored, frozen, None, None)
+        probe = probe_embeddings("adapter_joint", lq, restored, frozen, res)
+        base = probe_embeddings("baseline_lq", lq, restored, frozen, None)
         # hq clone never moved (lr ~ 0) and fusion forced to zero
         np.testing.assert_allclose(probe, base, atol=1e-30)
 

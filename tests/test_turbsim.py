@@ -228,3 +228,19 @@ class TestDegrade:
         p = ts.init_params(40_000, 32)
         out = ts.degrade(img, p, 3)
         assert out.min() >= img.min() - 1e-12 and out.max() <= img.max() + 1e-12
+
+    @pytest.mark.parametrize("seed", [11, np.random.SeedSequence([9, 20_000, 3])], ids=["int", "seed_sequence"])
+    def test_degradation_psf_is_the_kernel_degrade_blurs_with(self, seed, monkeypatch):
+        # the same seed object goes to both calls, so neither may consume it
+        p = ts.init_params(20_000, 32)
+        real = ts.nd_convolve
+        kernels = []
+
+        def recording(image, kernel, **kw):
+            kernels.append(kernel)
+            return real(image, kernel, **kw)
+
+        monkeypatch.setattr(ts, "nd_convolve", recording)
+        ts.degrade(np.random.default_rng(8).random((32, 32)), p, seed)
+        assert kernels[0].tobytes() == ts.degradation_psf(p, seed).tobytes()
+        assert ts.degradation_psf(p, seed).tobytes() != ts.degradation_psf(p, 12).tobytes()
