@@ -5,7 +5,10 @@ gradcheck. Every command is a pure function of (config, seed): re-running
 with the same inputs rewrites byte-identical artifacts. The ablation
 command loads the dataset once, degrades each (split, intensity) once,
 embeds the clean gallery once, draws the test pairs once and restores in
-memory.
+memory. Each of its parts is a list of cells, ``(strategy, FusionConfig |
+None)``, run under a named ``Condition`` (intensity, restorer, restore seed
+salt) through ``_AblateInputs.run``, the one place where it trains and
+evaluates.
 
 Artifacts live under the config's output_dir. Each kind a command reads
 has one loader, which raises DependencyError naming the command to (re-)run
@@ -15,7 +18,9 @@ when the artifact is missing or does not fit the config:
     pretrain/backbone/                           _load_backbone -> _load_state
     train/<strategy>/checkpoint/                 _load_train_result -> _load_state
 
-A checkpoint holds exactly the name -> Tensor dict ``optim.fit`` trains.
+A checkpoint holds exactly the name -> Tensor dict ``optim.fit`` trains;
+an ``adapter_joint`` one also holds ``fusion.json``, the fusion config its
+weights were built for, which must be the run config's.
 Reports (histories, provenance.json, reports/) are never read back.
 A trained state's fusion weights carry the fusion config they were built
 for, so ``evaluate_strategy`` runs that architecture, whatever the run config.
@@ -44,7 +49,7 @@ from .optim import finite_diff_check
 from .restore import RestoreConfig, restore
 from .tensor import Tensor
 from .tensorio import load_bundle, save_bundle, save_tensor
-from .trainer import STRATEGIES, TrainConfig, init_state, probe_embeddings, train_adapter
+from .trainer import STRATEGIES, TRAINED, TrainConfig, init_state, probe_embeddings, train_adapter
 from .turbsim import degradation_psf, degrade, init_params
 
 
@@ -116,21 +121,24 @@ def _load_state(dest, tensors, command):
     if not (dest / "index.json").exists():
         raise DependencyError(f"{dest} not found; run the `{command}` command first")
     arrays = load_bundle(dest)
-    want = {k: t.shape for k, t in tensors.items()}
-    got = {k: a.shape for k, a in arrays.items()}
+    _check_made_under(dest, {k: t.shape for k, t in tensors.items()}, {k: a.shape for k, a in arrays.items()}, command)
+    for k, t in tensors.items():
+        t.data[...] = arrays[k]
+
+
+def _check_made_under(dest, want, got, command):
+    """Raise, naming the keys that differ, unless the two dicts are equal."""
     if got != want:
         differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
         raise DependencyError(
             f"{dest} was made under another config ({', '.join(differ)} differ); run the `{command}` command again"
         )
-    for k, t in tensors.items():
-        t.data[...] = arrays[k]
 
 
 def _turb_params(cfg, meters=None):
     t = cfg["turbulence"]
     overrides = {k: v for k, v in t.items() if k != "intensity_meters"}
-    return init_params(meters or t["intensity_meters"], cfg["dataset"]["image_size"], overrides)
+    return init_params(t["intensity_meters"] if meters is None else meters, cfg["dataset"]["image_size"], overrides)
 
 
 def _restore_cfg(cfg, **overrides):
@@ -282,13 +290,8 @@ def _fusion_cfg(cfg):
     return FusionConfig(d_model=cfg["backbone"]["embed_dim"], **cfg["fusion"])
 
 
-def _train_cfg(cfg, strategy=None, seed=None, epochs=None):
-    t = dict(cfg["train"], seed=cfg["seed"] if seed is None else seed)
-    if strategy is not None:
-        t["strategy"] = strategy
-    if epochs is not None:
-        t["epochs"] = epochs
-    return TrainConfig(**t)
+def _train_cfg(cfg, **overrides):
+    return TrainConfig(**{**cfg["train"], "seed": cfg["seed"], **overrides})
 
 
 def cmd_train(cfg, out_dir=None):
@@ -309,6 +312,8 @@ def cmd_train(cfg, out_dir=None):
     trained = result.tensors()
     if trained:
         save_bundle(dest / "checkpoint", trained)
+    if result.fusion_params is not None:
+        emit_report(dataclasses.asdict(result.fusion_params.cfg), dest / "checkpoint" / "fusion.json")
     (dest / "history.jsonl").write_text(result.history.to_jsonl() + "\n", encoding="utf-8")
     return {
         "command": "train",
@@ -320,10 +325,16 @@ def cmd_train(cfg, out_dir=None):
 
 
 def _load_train_result(cfg, out, strategy, frozen):
-    """Trained state of ``finetune_restored`` or ``adapter_joint``."""
-    n_classes = cfg["dataset"]["n_identities"]
-    state = init_state(strategy, frozen, _fusion_cfg(cfg), n_classes, np.random.default_rng(0))
-    _load_state(_out(cfg, out) / "train" / strategy / "checkpoint", state.tensors(), "train")
+    """Trained state of ``finetune_restored`` or ``adapter_joint``; the latter's
+    fusion config, stored beside its weights, must be the run config's."""
+    fcfg = _fusion_cfg(cfg)
+    state = init_state(strategy, frozen, fcfg, cfg["dataset"]["n_identities"], np.random.default_rng(0))
+    dest = _out(cfg, out) / "train" / strategy / "checkpoint"
+    _load_state(dest, state.tensors(), "train")
+    if state.fusion_params is not None:
+        if not (dest / "fusion.json").exists():
+            raise DependencyError(f"{dest / 'fusion.json'} not found; run the `train` command again")
+        _check_made_under(dest, dataclasses.asdict(fcfg), json.loads((dest / "fusion.json").read_text()), "train")
     return state
 
 
@@ -409,9 +420,7 @@ def cmd_eval(cfg, out_dir=None, fmt="json"):
     frozen = _load_backbone(cfg, out_dir)
 
     strategy = cfg["train"]["strategy"]
-    result = None
-    if strategy in ("finetune_restored", "adapter_joint"):
-        result = _load_train_result(cfg, out_dir, strategy, frozen)
+    result = _load_train_result(cfg, out_dir, strategy, frozen) if strategy in TRAINED else None
     gallery = gallery_embeddings(clean_test, frozen)
     report, score_set = evaluate_strategy(
         cfg, strategy, verification_pairs(cfg, manifest), frozen, result, gallery, lq_test, restored_test, labels_test
@@ -502,13 +511,28 @@ def cmd_gradcheck(cfg, out_dir=None):
 # -- ablation grid ---------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class Condition:
+    """What the images of one `ablate` run go through: turbulence at
+    ``meters``, then ``restore`` on the restore seed stream ``salt``. With
+    ``restore`` None the probes are the degraded images themselves."""
+
+    meters: float
+    restore: RestoreConfig | None
+    salt: int
+
+
 class _AblateInputs:
     """What the parts of one `ablate` call share: the test pairs, both clean
     splits, the frozen backbone with its gallery embedding, and each
     degraded stack, made on first use once per (split, intensity).
 
-    The parts only read these arrays. Degrading goes through the module's
-    ``degrade_stack`` on a miss only, so a lookup is never counted as work.
+    ``run`` is the one path by which a part trains and evaluates. A part is a
+    list of cells, each ``(strategy, FusionConfig | None)``, run under a
+    ``Condition``, plus the rule that turns their reports into rows.
+    Degrading, training and evaluating go through the module's
+    ``degrade_stack``, ``train_adapter`` and ``evaluate_strategy``, looked up
+    at call time, so a lookup in the degraded cache is never counted as work.
     """
 
     def __init__(self, cfg, out_dir, frozen):
@@ -529,51 +553,48 @@ class _AblateInputs:
             self._degraded[key] = degrade_stack(self.clean[split], params, self.cfg["seed"])
         return self._degraded[key]
 
-    def evaluate(self, cfg, strategy, result, lq_test, restored_test):
-        return evaluate_strategy(
-            cfg, strategy, self.pairs, self.frozen, result, self.gallery, lq_test, restored_test, self.labels["test"]
-        )
+    def run(self, cond, cells, **train):
+        """Reports of ``cells`` under ``cond``, in cell order, and the test
+        split's (degraded, restored) stacks. The train split is degraded and
+        restored only when a cell trains; ``train`` overrides the run's train
+        config for every cell that does."""
+        cfg = self.cfg
+        params = _turb_params(cfg, meters=cond.meters)
+        data = {}
+        for split in ("train", "test") if any(s in TRAINED for s, _ in cells) else ("test",):
+            lq = self.degraded(split, cond.meters)
+            if cond.restore is None:
+                data[split] = (lq, lq)
+            else:
+                data[split] = (lq, restore_stack(lq, self.clean[split], params, cond.restore, cfg["seed"], cond.salt))
+        reports = []
+        for strategy, fcfg in cells:
+            result = None
+            if strategy in TRAINED:
+                tcfg = _train_cfg(cfg, strategy=strategy, **train)
+                result = train_adapter(*data["train"], self.labels["train"], self.frozen, fcfg, _margin(cfg), tcfg)
+            report, _ = evaluate_strategy(
+                cfg, strategy, self.pairs, self.frozen, result, self.gallery, *data["test"], self.labels["test"]
+            )
+            reports.append(report)
+        return reports, data["test"]
 
 
-def _ablate_data(inputs, meters, artifact_sigma, seed_salt):
-    """(degraded, restored) stacks of both splits at one intensity level."""
-    cfg = inputs.cfg
-    params = _turb_params(cfg, meters=meters)
-    rcfg = _restore_cfg(cfg, artifact_sigma=artifact_sigma)
-    data = {}
-    for split in ("train", "test"):
-        lq = inputs.degraded(split, meters)
-        restored = restore_stack(lq, inputs.clean[split], params, rcfg, cfg["seed"], seed_salt=seed_salt)
-        data[split] = (lq, restored)
-    return data
+def _table3_condition(cfg, salt):
+    ab = cfg["ablations"]
+    return Condition(ab["table3_intensity"], _restore_cfg(cfg, artifact_sigma=ab["table3_artifact_sigma"]), salt)
 
 
 def _table3(inputs):
+    """Every strategy per seed, each seed salting restoration and seeding training."""
     cfg = inputs.cfg
     ab = cfg["ablations"]
-    meters = ab["table3_intensity"]
-    labels_train = inputs.labels["train"]
-    rows = {s: [] for s in STRATEGIES}
-    per_seed = []
-    for seed in ab["table3_seeds"]:
-        data = _ablate_data(inputs, meters, ab["table3_artifact_sigma"], seed_salt=seed)
-        lq_test, restored_test = data["test"]
-        lq_train, restored_train = data["train"]
-        seed_row = {}
-        for strategy in STRATEGIES:
-            tcfg = _train_cfg(cfg, strategy=strategy, seed=seed)
-            result = train_adapter(
-                lq_train, restored_train, labels_train, inputs.frozen, _fusion_cfg(cfg), _margin(cfg), tcfg
-            )
-            report, _ = inputs.evaluate(cfg, strategy, result, lq_test, restored_test)
-            rows[strategy].append(report)
-            seed_row[strategy] = report.accuracy
-        per_seed.append(seed_row)
-
+    cells = [(s, _fusion_cfg(cfg)) for s in STRATEGIES]
+    by_seed = [inputs.run(_table3_condition(cfg, seed), cells, seed=seed)[0] for seed in ab["table3_seeds"]]
     table = []
-    for strategy in STRATEGIES:
-        accs = [r.accuracy for r in rows[strategy]]
-        tars = [r.tar_at_far.get(0.01, float("nan")) for r in rows[strategy]]
+    for strategy, reports in zip(STRATEGIES, zip(*by_seed)):
+        accs = [r.accuracy for r in reports]
+        tars = [r.tar_at_far.get(0.01, float("nan")) for r in reports]
         table.append(
             {
                 "strategy": strategy,
@@ -583,7 +604,8 @@ def _table3(inputs):
                 "tar_at_far_0.01_mean": float(np.mean(tars)),
             }
         )
-    return {"level": level_tag(meters), "seeds": ab["table3_seeds"], "rows": table, "per_seed": per_seed}
+    per_seed = [{s: r.accuracy for s, r in zip(STRATEGIES, reports)} for reports in by_seed]
+    return {"level": level_tag(ab["table3_intensity"]), "seeds": ab["table3_seeds"], "rows": table, "per_seed": per_seed}
 
 
 def _fusion_grid_variants(cfg):
@@ -608,15 +630,11 @@ def _fusion_grid_variants(cfg):
 def _fusion_grid(inputs):
     cfg = inputs.cfg
     ab = cfg["ablations"]
-    data = _ablate_data(inputs, ab["table3_intensity"], ab["table3_artifact_sigma"], seed_salt=0)
-    lq_test, restored_test = data["test"]
-    lq_train, restored_train = data["train"]
-    labels_train = inputs.labels["train"]
-    tcfg = _train_cfg(cfg, strategy="adapter_joint", epochs=ab["grid_epochs"])
+    variants = _fusion_grid_variants(cfg)
+    cells = [("adapter_joint", fcfg) for _, fcfg in variants]
+    reports, _ = inputs.run(_table3_condition(cfg, 0), cells, epochs=ab["grid_epochs"])
     rows = []
-    for name, fcfg in _fusion_grid_variants(cfg):
-        result = train_adapter(lq_train, restored_train, labels_train, inputs.frozen, fcfg, _margin(cfg), tcfg)
-        report, _ = inputs.evaluate(cfg, "adapter_joint", result, lq_test, restored_test)
+    for (name, fcfg), report in zip(variants, reports):
         gc_cfg = dataclasses.replace(fcfg, d_model=16, ffn_hidden=32)
         err64, err32, passed = gradcheck_fusion(gc_cfg, samples_per_tensor=2)
         rows.append(
@@ -637,25 +655,17 @@ def _restorer_sweep(inputs):
     """Frozen-baseline accuracy on restored probes per (mode, w)."""
     cfg = inputs.cfg
     meters = cfg["turbulence"]["intensity_meters"]
-    params = _turb_params(cfg)
-    clean = inputs.clean["test"]
-    lq = inputs.degraded("test", meters)
     rows = []
-    sweeps = [("oracle_blend", w) for w in cfg["ablations"]["restore_ws"]] + [("wiener", None)]
-    for mode, w in sweeps:
-        overrides = {"mode": mode}
-        if w is not None:
-            overrides["fidelity_w"] = w
-        rcfg = _restore_cfg(cfg, **overrides)
-        restored = restore_stack(lq, clean, params, rcfg, cfg["seed"])
-        report, _ = inputs.evaluate(cfg, "eval_restored", None, lq, restored)
+    for mode, w in [("oracle_blend", w) for w in cfg["ablations"]["restore_ws"]] + [("wiener", None)]:
+        rcfg = _restore_cfg(cfg, mode=mode) if w is None else _restore_cfg(cfg, mode=mode, fidelity_w=w)
+        (report,), (_, restored) = inputs.run(Condition(meters, rcfg, 0), [("eval_restored", None)])
         rows.append(
             {
                 "mode": mode,
                 "fidelity_w": w,
                 "accuracy": report.accuracy,
                 "accuracy_pct": pct(report.accuracy),
-                "mse_to_clean": float(((restored - clean) ** 2).mean()),
+                "mse_to_clean": float(((restored - inputs.clean["test"]) ** 2).mean()),
             }
         )
     return {"level": level_tag(meters), "rows": rows}
@@ -663,17 +673,14 @@ def _restorer_sweep(inputs):
 
 def _intensity_ladder(inputs):
     """Degradation MSE and frozen-baseline accuracy across the ladder."""
-    cfg = inputs.cfg
-    clean = inputs.clean["test"]
     rows = []
-    for meters in cfg["ablations"]["intensity_levels"]:
-        lq = inputs.degraded("test", meters)
-        report, _ = inputs.evaluate(cfg, "baseline_lq", None, lq, lq)
+    for meters in inputs.cfg["ablations"]["intensity_levels"]:
+        (report,), (lq, _) = inputs.run(Condition(meters, None, 0), [("baseline_lq", None)])
         rows.append(
             {
                 "level": level_tag(meters),
                 "intensity_meters": meters,
-                "mse": float(((lq - clean) ** 2).mean()),
+                "mse": float(((lq - inputs.clean["test"]) ** 2).mean()),
                 "accuracy": report.accuracy,
                 "accuracy_pct": pct(report.accuracy),
             }
@@ -694,6 +701,8 @@ def cmd_ablate(cfg, out_dir=None, fmt="json"):
     unknown = [p for p in parts if p not in ABLATION_PARTS]
     if unknown:
         raise ConfigError(f"ablations.parts: unknown {unknown}; choose from {list(ABLATION_PARTS)}")
+    if "table3" in parts and not cfg["ablations"]["table3_seeds"]:
+        raise ConfigError("ablations.table3_seeds: the table3 part needs at least one seed")
     if "restorer" in parts or cfg["restore"]["mode"] == "wiener":  # the restorer sweep has a wiener row
         _check_wiener_psf(cfg)
     out = _out(cfg, out_dir)

@@ -28,6 +28,7 @@ from .optim import FitConfig, TrainHistory, fit
 from .tensor import no_grad
 
 STRATEGIES = ("baseline_lq", "eval_restored", "finetune_restored", "adapter_joint")
+TRAINED = ("finetune_restored", "adapter_joint")  # the strategies with a state to train
 
 
 @dataclass
@@ -114,7 +115,7 @@ def train_adapter(
     strategy. Raises TrainingError on NaN loss, carrying the last
     end-of-epoch checkpoint.
     """
-    if cfg.strategy in ("baseline_lq", "eval_restored"):
+    if cfg.strategy not in TRAINED:
         return TrainResult(cfg.strategy, None, None, None, TrainHistory(), 0)
 
     labels = np.asarray(labels)

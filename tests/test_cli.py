@@ -68,11 +68,32 @@ def test_eval_on_empty_directory_exits_3(config_path, tmp_path, capsys):
     assert "run the `synth` command first" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["fusion.block_norm=false", "fusion.role_variant=b", "fusion.attention_order=self_first"])
+@pytest.mark.parametrize(
+    "override",
+    [
+        "fusion.block_norm=false",
+        "fusion.role_variant=b",
+        "fusion.attention_order=self_first",
+        # these two change no tensor's shape: only the stored fusion config tells them apart
+        "fusion.cascade_depth=3",
+        "fusion.use_residual=false",
+    ],
+)
 def test_eval_of_a_checkpoint_from_another_fusion_config_exits_3(trained, override, capsys):
     path, out = trained
     assert main(["eval", "--config", str(path), "--out", str(out), "--set", override]) == 3
     assert "run the `train` command" in capsys.readouterr().err
+
+
+def test_eval_of_a_checkpoint_without_its_fusion_config_exits_3(trained, tmp_path, capsys):
+    # an adapter_joint checkpoint as an older layout wrote it: weights only
+    path, out = trained
+    for sub in ("dataset", "degraded", "restored", "pretrain", "train"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    (tmp_path / "train" / "adapter_joint" / "checkpoint" / "fusion.json").unlink()
+    assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "fusion.json not found" in err and "run the `train` command" in err
 
 
 @pytest.mark.parametrize(
@@ -223,32 +244,51 @@ def run_ablate(path, out, parts):
 
 @pytest.fixture(scope="module")
 def ablations(trained):
-    """One `ablate` with all four parts, counting the degraded stacks it makes
-    and its embeddings of the clean gallery, then one `ablate` per part alone."""
+    """One `ablate` with all four parts, counting the degraded stacks it makes,
+    its embeddings of the clean gallery, its trainings and its evaluations,
+    then one `ablate` per part alone."""
     path, out = trained
     manifest = DatasetManifest.load(out / "dataset" / "manifest.json")
     clean_test, _ = load_images(out / "dataset", manifest.split_images("test"))
-    runs = {"degraded": [], "gallery": [], "pairs": 0}
-    real_degrade, real_embed, real_pairs = harness.degrade_stack, harness.embed, harness.make_pairs
+    runs = {"degraded": [], "gallery": [], "pairs": 0, "trained": [], "evaluated": []}
 
     def counting_degrade(images, params, seed):
         runs["degraded"].append((len(images), params.intensity_meters))
-        return real_degrade(images, params, seed)
+        return real["degrade_stack"](images, params, seed)
 
     def counting_embed(images, params):
         if np.array_equal(getattr(images, "data", images), clean_test):
             runs["gallery"].append(len(images))
-        return real_embed(images, params)
+        return real["embed"](images, params)
 
     def counting_pairs(*args, **kw):
         runs["pairs"] += 1
-        return real_pairs(*args, **kw)
+        return real["make_pairs"](*args, **kw)
 
-    harness.degrade_stack, harness.embed, harness.make_pairs = counting_degrade, counting_embed, counting_pairs
+    # positional only, reading the train config and the strategy by position, as bench/worker.py does
+    def counting_train(*args):
+        runs["trained"].append(args[6].strategy)
+        return real["train_adapter"](*args)
+
+    def counting_evaluate(*args):
+        runs["evaluated"].append(args[1])
+        return real["evaluate_strategy"](*args)
+
+    counting = {
+        "degrade_stack": counting_degrade,
+        "embed": counting_embed,
+        "make_pairs": counting_pairs,
+        "train_adapter": counting_train,
+        "evaluate_strategy": counting_evaluate,
+    }
+    real = {name: getattr(harness, name) for name in counting}
+    for name, fn in counting.items():
+        setattr(harness, name, fn)
     try:
         runs["all"] = run_ablate(path, out, ABLATION_PARTS)
     finally:
-        harness.degrade_stack, harness.embed, harness.make_pairs = real_degrade, real_embed, real_pairs
+        for name, fn in real.items():
+            setattr(harness, name, fn)
     runs["csv"] = (out / "reports" / "ablate.csv").read_text()
     for part in ABLATION_PARTS:
         runs[part] = run_ablate(path, out, [part])
@@ -277,6 +317,15 @@ def test_ablate_computes_each_distinct_input_once(ablations):
         assert ablations[part][part] == ablations["all"][part]
 
 
+def test_ablate_trains_and_evaluates_each_cell_once(ablations):
+    report = ablations["all"]
+    seeds = len(report["table3"]["seeds"])
+    grid, restorer, rungs = (len(report[part]["rows"]) for part in ("fusion_grid", "restorer", "intensity"))
+    assert len(ablations["evaluated"]) == 4 * seeds + grid + restorer + rungs
+    assert len(ablations["trained"]) == 2 * seeds + grid
+    assert not {"baseline_lq", "eval_restored"} & set(ablations["trained"])
+
+
 def test_ablate_csv_names_each_row_once(ablations):
     header, *lines = ablations["csv"].splitlines()
     assert header == "section,name,accuracy_pct"
@@ -293,3 +342,23 @@ def test_unknown_ablation_part_exits_2_before_loading(config_path, tmp_path, cap
     err = capsys.readouterr().err
     assert "tabel3" in err and "table3" in err
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize(
+    "sets, named",
+    [
+        (['ablations.parts=["intensity"]', "ablations.intensity_levels=[0, 20000.0]"], "intensity_meters"),
+        (['ablations.parts=["table3"]', "ablations.table3_intensity=0"], "intensity_meters"),
+        (['ablations.parts=["table3"]', "ablations.table3_seeds=[]"], "table3_seeds"),
+    ],
+    ids=["zero_rung", "zero_table3_intensity", "no_table3_seeds"],
+)
+def test_ablate_with_a_zero_intensity_or_no_seeds_exits_2(trained, tmp_path, sets, named, capsys):
+    # a 0 m level used to run at the default 20 km, and no seeds wrote NaN means
+    path, out = trained
+    for sub in ("dataset", "pretrain"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    argv = ["ablate", "--config", str(path), "--out", str(tmp_path)] + [a for s in sets for a in ("--set", s)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "reports" / "ablate.json").exists()
