@@ -211,6 +211,7 @@ def cmd_degrade(cfg, out_dir=None):
         "level": tag,
         "intensity_meters": params.intensity_meters,
         "fried_r0": params.fried_r0,
+        "d_over_r0": params.d_over_r0,
         "tilt_rms_px": params.tilt_rms_px,
         "seed": cfg["seed"],
         "turbulence": cfg["turbulence"],
@@ -697,12 +698,22 @@ ABLATION_PARTS = {
 
 
 def cmd_ablate(cfg, out_dir=None, fmt="json"):
-    parts = cfg["ablations"]["parts"]
+    ab = cfg["ablations"]
+    parts = ab["parts"]
     unknown = [p for p in parts if p not in ABLATION_PARTS]
     if unknown:
         raise ConfigError(f"ablations.parts: unknown {unknown}; choose from {list(ABLATION_PARTS)}")
-    if "table3" in parts and not cfg["ablations"]["table3_seeds"]:
+    if "table3" in parts and not ab["table3_seeds"]:
         raise ConfigError("ablations.table3_seeds: the table3 part needs at least one seed")
+    intensities = {
+        "table3": [ab["table3_intensity"]],
+        "fusion_grid": [ab["table3_intensity"]],
+        "restorer": [cfg["turbulence"]["intensity_meters"]],
+        "intensity": ab["intensity_levels"],
+    }
+    for part in parts:  # a bad intensity exits 2 before any part runs
+        for meters in intensities[part]:
+            _turb_params(cfg, meters=meters)
     if "restorer" in parts or cfg["restore"]["mode"] == "wiener":  # the restorer sweep has a wiener row
         _check_wiener_psf(cfg)
     out = _out(cfg, out_dir)

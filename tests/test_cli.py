@@ -198,6 +198,14 @@ def test_importing_the_package_pins_blas_threads():
     assert out.strip() == "['1', '1', '1']"
 
 
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second and 50 MB to import; blur uses numpy.fft
+    env = dict(os.environ, PYTHONPATH=str(Path(turbfuse.__file__).resolve().parents[1]))
+    code = "import sys, turbfuse.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 @pytest.mark.parametrize("key", ["fusion.n_heads", "fusion.normalize_inputs", "train.reuse_pretrain_head"])
 def test_retired_fusion_keys_exit_2(config_path, tmp_path, key, capsys):
     # false is a value the last key accepted while it existed
@@ -350,15 +358,30 @@ def test_unknown_ablation_part_exits_2_before_loading(config_path, tmp_path, cap
         (['ablations.parts=["intensity"]', "ablations.intensity_levels=[0, 20000.0]"], "intensity_meters"),
         (['ablations.parts=["table3"]', "ablations.table3_intensity=0"], "intensity_meters"),
         (['ablations.parts=["table3"]', "ablations.table3_seeds=[]"], "table3_seeds"),
+        # the bad rung is the last part's: it must exit before the first part trains (kernel 7 fits wiener)
+        (
+            [f"ablations.parts={json.dumps(ABLATION_PARTS)}", "ablations.intensity_levels=[0, 20000.0]"]
+            + ["turbulence.kernel_size=7"],
+            "intensity_meters",
+        ),
     ],
-    ids=["zero_rung", "zero_table3_intensity", "no_table3_seeds"],
+    ids=["zero_rung", "zero_table3_intensity", "no_table3_seeds", "zero_rung_after_other_parts"],
 )
-def test_ablate_with_a_zero_intensity_or_no_seeds_exits_2(trained, tmp_path, sets, named, capsys):
+def test_ablate_with_a_zero_intensity_or_no_seeds_exits_2(trained, tmp_path, sets, named, monkeypatch, capsys):
     # a 0 m level used to run at the default 20 km, and no seeds wrote NaN means
     path, out = trained
     for sub in ("dataset", "pretrain"):
         shutil.copytree(out / sub, tmp_path / sub)
+    trained_strategies = []
+    real = harness.train_adapter
+
+    def recording(*args):
+        trained_strategies.append(args[6].strategy)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "train_adapter", recording)
     argv = ["ablate", "--config", str(path), "--out", str(tmp_path)] + [a for s in sets for a in ("--set", s)]
     assert main(argv) == 2
     assert named in capsys.readouterr().err
+    assert trained_strategies == []
     assert not (tmp_path / "reports" / "ablate.json").exists()

@@ -36,7 +36,9 @@ class TestDegradeProvenance:
         cmd_synth(tiny_cfg)
         report = cmd_degrade(tiny_cfg)
         prov = json.loads((tmp_path / "degraded" / report["level"] / "provenance.json").read_text())
-        assert prov["tilt_rms_px"] == pytest.approx(_turb_params(tiny_cfg).tilt_rms_px, rel=1e-12)
+        params = _turb_params(tiny_cfg)
+        assert prov["tilt_rms_px"] == pytest.approx(params.tilt_rms_px, rel=1e-12)
+        assert prov["d_over_r0"] == pytest.approx(params.d_over_r0, rel=1e-12)
 
 
 class TestFreezeContract:

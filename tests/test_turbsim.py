@@ -90,6 +90,23 @@ class TestTiltField:
         assert np.mean(c1) > np.mean(c8)
 
 
+    @pytest.mark.parametrize("field, value", [("pixel_pitch_m", 0.1), ("outer_scale_m", 5.0)])
+    def test_spectrum_cache_is_keyed_by_every_parameter_it_reads(self, field, value):
+        # normalized by the target RMS, a field differs only through the spectrum
+        p = ts.init_params(20_000, 32)
+        q = ts.init_params(20_000, 32, {field: value})
+        a, b = ts.tilt_field(p, 3), ts.tilt_field(q, 3)
+        assert np.abs(a.dx / p.tilt_rms_px - b.dx / q.tilt_rms_px).max() > 1e-3
+        ts._tilt_spectrum.cache_clear()
+        fresh = ts.tilt_field(q, 3)
+        assert fresh.dx.tobytes() == b.dx.tobytes() and fresh.dy.tobytes() == b.dy.tobytes()
+
+    def test_cached_spectrum_is_read_only(self):
+        amp, _ = ts._tilt_spectrum(32, 0.05, 10.0)
+        with pytest.raises(ValueError):
+            amp[0, 1] = 1.0
+
+
 class TestApplyTilt:
     def test_zero_field_identity(self):
         rng = np.random.default_rng(0)
@@ -172,6 +189,23 @@ class TestPsf:
             ts.zernike_psf(p, coeffs=np.zeros(2))
 
 
+class TestBlur:
+    @pytest.mark.parametrize("n", [16, 17, 64])
+    @pytest.mark.parametrize("k", [1, 3, 7, 23])
+    def test_equals_nearest_mode_direct_convolution(self, n, k):
+        # k=23 on a 16-px image pads by more than the image: the TINY CLI config
+        from scipy.ndimage import convolve
+
+        rng = np.random.default_rng(100 * n + k)
+        img = rng.random((n, n))
+        kern = rng.random((k, k))
+        kern /= kern.sum()
+        np.testing.assert_allclose(ts.blur(img, kern), convolve(img, kern, mode="nearest"), rtol=0, atol=1e-12)
+
+    def test_fft_lengths_are_smooth_and_minimal(self):
+        assert [ts._fft_len(n) for n in (1, 7, 11, 38, 86, 90, 97)] == [1, 8, 12, 40, 90, 90, 100]
+
+
 class TestDegrade:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -233,14 +267,14 @@ class TestDegrade:
     def test_degradation_psf_is_the_kernel_degrade_blurs_with(self, seed, monkeypatch):
         # the same seed object goes to both calls, so neither may consume it
         p = ts.init_params(20_000, 32)
-        real = ts.nd_convolve
+        real = ts.blur
         kernels = []
 
         def recording(image, kernel, **kw):
             kernels.append(kernel)
             return real(image, kernel, **kw)
 
-        monkeypatch.setattr(ts, "nd_convolve", recording)
+        monkeypatch.setattr(ts, "blur", recording)
         ts.degrade(np.random.default_rng(8).random((32, 32)), p, seed)
         assert kernels[0].tobytes() == ts.degradation_psf(p, seed).tobytes()
         assert ts.degradation_psf(p, seed).tobytes() != ts.degradation_psf(p, 12).tobytes()
