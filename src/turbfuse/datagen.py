@@ -131,6 +131,22 @@ def render(identity: IdentitySpec, jitter_seed, image_size):
     return (0.5 + 0.45 * np.tanh(raw)).astype(np.float64)
 
 
+def dataset_hash(n_identities, per_identity, n_test_identities, test_per_identity, image_size, seed):
+    """The ``config_hash`` a dataset's manifest records: every input its bytes
+    depend on, the generator version included."""
+    return config_hash(
+        {
+            "n_identities": n_identities,
+            "per_identity": per_identity,
+            "n_test_identities": n_test_identities,
+            "test_per_identity": test_per_identity,
+            "image_size": image_size,
+            "seed": seed,
+            "generator_version": GENERATOR_VERSION,
+        }
+    )
+
+
 def synth_dataset(
     out_dir,
     n_identities,
@@ -154,17 +170,7 @@ def synth_dataset(
 
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    cfg_hash = config_hash(
-        {
-            "n_identities": n_identities,
-            "per_identity": per_identity,
-            "n_test_identities": n_test_identities,
-            "test_per_identity": test_per_identity,
-            "image_size": image_size,
-            "seed": seed,
-            "generator_version": GENERATOR_VERSION,
-        }
-    )
+    cfg_hash = dataset_hash(n_identities, per_identity, n_test_identities, test_per_identity, image_size, seed)
 
     specs = {}
     plan = [("train", range(n_identities), per_identity)]
@@ -198,7 +204,7 @@ def load_images(root, entries):
     root = Path(root)
     arrs = [load_tensor(root / im.path) for im in entries]
     labels = np.array([im.label for im in entries])
-    return np.stack(arrs).astype(np.float32), labels
+    return np.stack(arrs).astype(np.float32, copy=False), labels
 
 
 @dataclass
@@ -211,51 +217,32 @@ class Pair:
 def make_pairs(manifest: DatasetManifest, split, n_genuine, n_impostor, seed=0):
     """Balanced genuine/impostor pairs over one split, no duplicates.
 
-    Returned indices point into ``manifest.split_images(split)``.
+    Returned indices point into ``manifest.split_images(split)``, with
+    ``index_a < index_b``. Every unordered pair of the split is a candidate,
+    n(n-1)/2 of them (20,706 at 204 images, 51,040 at 320), split by kind
+    into genuine and impostor. One draw without replacement per kind,
+    genuine first, picks the requested number, so each kind is uniform over
+    its distinct pairs. When every identity has the same number of images,
+    as ``synth_dataset`` makes them, that is also the distribution of
+    drawing the identities first and then their images.
     """
-    entries = manifest.split_images(split)
-    by_label = {}
-    for i, im in enumerate(entries):
-        by_label.setdefault(im.label, []).append(i)
-    rich = [lbl for lbl, idx in by_label.items() if len(idx) >= 2]
-    if len(by_label) < 2 or not rich:
-        raise ContractError(f"split {split!r} needs >= 2 identities with >= 2 images each")
-
+    labels = np.array([im.label for im in manifest.split_images(split)])
+    a, b = np.triu_indices(len(labels), 1)
+    same = labels[a] == labels[b]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBEEF]))
-    labels = sorted(by_label)
-    genuine, impostor = [], []
-    seen = set()
-
-    def add(bucket, i, j, flag):
-        key = (min(i, j), max(i, j))
-        if key in seen or i == j:
-            return False
-        seen.add(key)
-        bucket.append(Pair(key[0], key[1], flag))
-        return True
-
-    guard = 0
-    while len(genuine) < n_genuine:
-        lbl = rich[int(rng.integers(len(rich)))]
-        i, j = rng.choice(by_label[lbl], size=2, replace=False)
-        guard += not add(genuine, int(i), int(j), True)
-        if guard > 100 * n_genuine + 1000:
-            raise ContractError("not enough distinct genuine pairs available")
-    guard = 0
-    while len(impostor) < n_impostor:
-        la, lb = rng.choice(len(labels), size=2, replace=False)
-        # same stream as rng.choice(lst), at a fraction of its per-call cost
-        ids_a, ids_b = by_label[labels[la]], by_label[labels[lb]]
-        i = ids_a[int(rng.integers(len(ids_a)))]
-        j = ids_b[int(rng.integers(len(ids_b)))]
-        guard += not add(impostor, i, j, False)
-        if guard > 100 * n_impostor + 1000:
-            raise ContractError("not enough distinct impostor pairs available")
+    drawn = {}
+    for kind, mask, want in (("genuine", same, n_genuine), ("impostor", ~same, n_impostor)):
+        ka, kb = a[mask], b[mask]
+        if len(ka) < want:
+            raise ContractError(f"split {split!r} has {len(ka)} distinct {kind} pairs, {want} requested")
+        pick = rng.choice(len(ka), want, replace=False)
+        drawn[kind] = [Pair(i, j, kind == "genuine") for i, j in zip(ka[pick].tolist(), kb[pick].tolist())]
+    genuine, impostor = drawn["genuine"], drawn["impostor"]
 
     # interleave so contiguous evaluation folds stay class-balanced
     pairs = []
-    for a, b in zip(genuine, impostor):
-        pairs.extend((a, b))
+    for g, i in zip(genuine, impostor):
+        pairs.extend((g, i))
     pairs.extend(genuine[len(impostor) :])
     pairs.extend(impostor[len(genuine) :])
     return pairs

@@ -40,7 +40,7 @@ from . import __version__
 from . import tensor as T
 from .backbone import BackboneConfig, BackboneParams, embed, pretrain
 from .config import config_hash
-from .datagen import DatasetManifest, load_images, make_pairs, synth_dataset
+from .datagen import DatasetManifest, dataset_hash, load_images, make_pairs, synth_dataset
 from .errors import ConfigError, ContractError, DependencyError, EvaluationError, TrainingError
 from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
@@ -103,16 +103,27 @@ def _out(cfg, out_dir=None):
     return Path(out_dir or cfg["output_dir"])
 
 
+def _dataset_args(cfg):
+    """``synth_dataset``'s arguments (and ``dataset_hash``'s) from the config."""
+    return dict(cfg["dataset"], seed=cfg["seed"])
+
+
 def _image_set(cfg, out, kind):
     """Manifest of one image set, plus a loader of its images by manifest
     entries: the ``dataset``, or the ``degraded`` or ``restored`` set at the
-    config's intensity level."""
+    config's intensity level. Each manifest is a copy of the dataset's, so
+    its ``config_hash`` must be the one the run config gives the dataset."""
     name = kind if kind == "dataset" else f"{kind}/{level_tag(cfg['turbulence']['intensity_meters'])}"
     root = _out(cfg, out) / name
     if not (root / "manifest.json").exists():
         made_by = {"dataset": "synth", "degraded": "degrade", "restored": "restore"}[kind]
         raise DependencyError(f"{name} not found; run the `{made_by}` command first")
-    return DatasetManifest.load(root / "manifest.json"), partial(load_images, root)
+    manifest = DatasetManifest.load(root / "manifest.json")
+    if manifest.config_hash != dataset_hash(**_dataset_args(cfg)):
+        raise DependencyError(
+            f"{name} was made from a dataset of another config (seed or dataset differ); run the `synth` command again"
+        )
+    return manifest, partial(load_images, root)
 
 
 def _load_state(dest, tensors, command):
@@ -183,16 +194,7 @@ def restore_stack(degraded, clean, params, rcfg: RestoreConfig, cfg_seed, seed_s
 
 
 def cmd_synth(cfg, out_dir=None):
-    d = cfg["dataset"]
-    manifest = synth_dataset(
-        _out(cfg, out_dir) / "dataset",
-        d["n_identities"],
-        d["per_identity"],
-        image_size=d["image_size"],
-        seed=cfg["seed"],
-        n_test_identities=d["n_test_identities"],
-        test_per_identity=d["test_per_identity"],
-    )
+    manifest = synth_dataset(_out(cfg, out_dir) / "dataset", **_dataset_args(cfg))
     return {"command": "synth", "images": len(manifest.images), "config_hash": config_hash(cfg)}
 
 

@@ -96,6 +96,24 @@ def test_eval_of_a_checkpoint_without_its_fusion_config_exits_3(trained, tmp_pat
     assert "fusion.json not found" in err and "run the `train` command" in err
 
 
+@pytest.mark.parametrize("override", ["dataset.test_per_identity=5", "seed=5"])
+def test_eval_on_a_dataset_from_another_config_exits_3(trained, override, capsys):
+    path, out = trained
+    assert main(["eval", "--config", str(path), "--out", str(out), "--set", override]) == 3
+    assert "dataset was made from a dataset of another config" in capsys.readouterr().err
+
+
+def test_degraded_set_from_another_dataset_exits_3(trained, tmp_path, capsys):
+    # a fresh dataset under seed 5 beside the degraded set made from the seed-0 one
+    path, out = trained
+    shutil.copytree(out / "degraded", tmp_path / "degraded")
+    argv = ["--config", str(path), "--out", str(tmp_path), "--set", "seed=5"]
+    assert main(["synth"] + argv) == 0
+    assert main(["restore"] + argv) == 3
+    err = capsys.readouterr().err
+    assert "degraded/20k was made from a dataset of another config" in err and "run the `synth` command" in err
+
+
 @pytest.mark.parametrize(
     "cmd, override",
     [

@@ -124,6 +124,22 @@ class TestMakePairs:
         with pytest.raises(ContractError):
             dg.make_pairs(m, "test", 4, 4, seed=0)
 
+    def test_every_pair_of_a_split_can_be_drawn(self):
+        images = [
+            dg.ManifestImage(path=f"images/id{lbl:04d}_{k:03d}.fat", label=lbl, split="test", seed=k)
+            for lbl in range(4)
+            for k in range(3)
+        ]
+        manifest = dg.DatasetManifest(images=images, config_hash="fixed")
+        pairs = dg.make_pairs(manifest, "test", 12, 54, seed=0)
+        keys = sorted((p.index_a, p.index_b) for p in pairs)
+        assert keys == [(i, j) for i in range(12) for j in range(i + 1, 12)]
+        assert all(p.genuine == (p.index_a // 3 == p.index_b // 3) for p in pairs)
+        with pytest.raises(ContractError, match="12 distinct genuine pairs, 13 requested"):
+            dg.make_pairs(manifest, "test", 13, 54, seed=0)
+        with pytest.raises(ContractError, match="54 distinct impostor pairs, 55 requested"):
+            dg.make_pairs(manifest, "test", 12, 55, seed=0)
+
     def test_pair_stream_pinned(self):
         # any change to the RNG draws behind the pairs changes this digest
         images = [
@@ -135,4 +151,4 @@ class TestMakePairs:
         pairs = dg.make_pairs(manifest, "test", 60, 300, seed=11)
         blob = json.dumps([[p.index_a, p.index_b, p.genuine] for p in pairs]).encode()
         assert len(pairs) == 360
-        assert hashlib.sha256(blob).hexdigest() == "452aa026dc2c617b394a7d12cbd8f0a9d37de29006f057a06fb480954b8a6598"
+        assert hashlib.sha256(blob).hexdigest() == "c2fd1946fbfedb48a1a8e5a2c7279de51b74effd693ad66e7013f94ed7c3ae7a"

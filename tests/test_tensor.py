@@ -277,6 +277,27 @@ def test_conv2d_gradient_and_forward():
         assert np.max(np.abs(t.grad - numeric) / np.maximum(1, np.abs(numeric))) < 1e-6
 
 
+@pytest.mark.parametrize("cin, cout, size", [(1, 8, 64), (8, 16, 32), (16, 32, 16)], ids=["stage0", "stage1", "stage2"])
+def test_conv2d_weight_gradient_matches_per_tap_sum(cin, cout, size):
+    # the default backbone's three stages at batch 2; the reference is a
+    # float64 sum over batch and positions for each kernel tap
+    rng = np.random.default_rng(21)
+    xd = rng.standard_normal((2, cin, size, size)).astype(np.float32).astype(np.float64)
+    g = rng.standard_normal((2, cout, size, size)).astype(np.float32).astype(np.float64)
+    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    ref = np.empty((cout, cin, 3, 3))
+    for ky in range(3):
+        for kx in range(3):
+            ref[:, :, ky, kx] = np.tensordot(g, xp[:, :, ky : ky + size, kx : kx + size], axes=([0, 2, 3], [0, 2, 3]))
+    scale = np.max(np.abs(ref))
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 2e-6)):
+        w = Tensor(rng.standard_normal((cout, cin, 3, 3)), requires_grad=True, dtype=dtype)
+        out = T.conv2d(Tensor(xd, dtype=dtype), w, padding=1)
+        T.backward(T.mul(out, Tensor(g, dtype=dtype)).sum())
+        assert w.grad.dtype == dtype
+        assert np.max(np.abs(w.grad - ref)) <= tol * scale
+
+
 def test_avg_pool2x2():
     rng = np.random.default_rng(15)
     x = rand_t(rng, 1, 1, 4, 4)
