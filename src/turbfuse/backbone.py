@@ -29,8 +29,10 @@ class BackboneConfig:
 
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
-        if self.kernel % 2 == 0:
-            raise ConfigError("kernel must be odd (same-padding conv)")
+        if not self.channels or min(self.channels) < 1:
+            raise ConfigError(f"channels must list at least one positive width, got {list(self.channels)}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError("kernel must be positive and odd (same-padding conv)")
         if self.image_size % (2 ** len(self.channels)):
             raise ConfigError("image_size must be divisible by 2**n_stages")
 

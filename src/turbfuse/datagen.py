@@ -165,6 +165,8 @@ def synth_dataset(
     """
     if n_identities < 4 or per_identity < 2:
         raise ContractError("need n_identities >= 4 and per_identity >= 2")
+    if image_size < 1:
+        raise ContractError(f"image_size must be positive, got {image_size}")
     if test_per_identity is None:
         test_per_identity = per_identity
 

@@ -18,9 +18,10 @@ when the artifact is missing or does not fit the config:
     pretrain/backbone/                           _load_backbone -> _load_state
     train/<strategy>/checkpoint/                 _load_train_result -> _load_state
 
-A checkpoint holds exactly the name -> Tensor dict ``optim.fit`` trains;
-an ``adapter_joint`` one also holds ``fusion.json``, the fusion config its
-weights were built for, which must be the run config's.
+Each but ``dataset/`` (whose manifest has its hash) holds ``made_under.json``,
+the ``MADE_UNDER`` sections of the config it was made under, which must be
+the run config's. A checkpoint holds exactly the name -> Tensor dict
+``optim.fit`` trains; a diverged run's last good one goes to ``diverged/``.
 Reports (histories, provenance.json, reports/) are never read back.
 A trained state's fusion weights carry the fusion config they were built
 for, so ``evaluate_strategy`` runs that architecture, whatever the run config.
@@ -28,6 +29,7 @@ for, so ``evaluate_strategy`` runs that architecture, whatever the run config.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import subprocess
@@ -108,6 +110,34 @@ def _dataset_args(cfg):
     return dict(cfg["dataset"], seed=cfg["seed"])
 
 
+# The config sections each command's artifact is a function of, its inputs' included
+MADE_UNDER = {
+    "degrade": ("seed", "dataset", "turbulence"),
+    "restore": ("seed", "dataset", "turbulence", "restore"),
+    "pretrain": ("seed", "dataset", "backbone", "loss"),
+    "train": ("seed", "dataset", "turbulence", "restore", "backbone", "loss", "fusion", "train"),
+}
+
+
+def _made_under(cfg, command):
+    """``MADE_UNDER[command]``'s sections of ``cfg`` as ``section.key -> value``."""
+    flat = {}
+    for s in MADE_UNDER[command]:
+        flat.update({f"{s}.{k}": v for k, v in cfg[s].items()} if isinstance(cfg[s], dict) else {s: cfg[s]})
+    return flat
+
+
+def _record(cfg, command, dest):
+    emit_report(_made_under(cfg, command), dest / "made_under.json")
+
+
+def _check_record(cfg, dest, command, name):
+    """Raise unless the artifact at ``dest`` was made under ``cfg``'s ``command`` record."""
+    if not (dest / "made_under.json").exists():
+        raise DependencyError(f"{dest / 'made_under.json'} not found; run the `{command}` command again")
+    _check_made_under(name, _made_under(cfg, command), json.loads((dest / "made_under.json").read_text()), command)
+
+
 def _image_set(cfg, out, kind):
     """Manifest of one image set, plus a loader of its images by manifest
     entries: the ``dataset``, or the ``degraded`` or ``restored`` set at the
@@ -115,24 +145,27 @@ def _image_set(cfg, out, kind):
     its ``config_hash`` must be the one the run config gives the dataset."""
     name = kind if kind == "dataset" else f"{kind}/{level_tag(cfg['turbulence']['intensity_meters'])}"
     root = _out(cfg, out) / name
+    made_by = {"dataset": "synth", "degraded": "degrade", "restored": "restore"}[kind]
     if not (root / "manifest.json").exists():
-        made_by = {"dataset": "synth", "degraded": "degrade", "restored": "restore"}[kind]
         raise DependencyError(f"{name} not found; run the `{made_by}` command first")
     manifest = DatasetManifest.load(root / "manifest.json")
     if manifest.config_hash != dataset_hash(**_dataset_args(cfg)):
         raise DependencyError(
             f"{name} was made from a dataset of another config (seed or dataset differ); run the `synth` command again"
         )
+    if kind != "dataset":
+        _check_record(cfg, root, made_by, name)
     return manifest, partial(load_images, root)
 
 
-def _load_state(dest, tensors, command):
+def _load_state(cfg, dest, tensors, command):
     """Fill ``tensors`` (name -> Tensor) in place from the bundle at ``dest``,
-    which must hold exactly the same names and shapes."""
+    made under ``cfg``, which must hold exactly the same names and shapes."""
     if not (dest / "index.json").exists():
         raise DependencyError(f"{dest} not found; run the `{command}` command first")
     arrays = load_bundle(dest)
     _check_made_under(dest, {k: t.shape for k, t in tensors.items()}, {k: a.shape for k, a in arrays.items()}, command)
+    _check_record(cfg, dest, command, dest)
     for k, t in tensors.items():
         t.data[...] = arrays[k]
 
@@ -215,10 +248,9 @@ def cmd_degrade(cfg, out_dir=None):
         "fried_r0": params.fried_r0,
         "d_over_r0": params.d_over_r0,
         "tilt_rms_px": params.tilt_rms_px,
-        "seed": cfg["seed"],
-        "turbulence": cfg["turbulence"],
     }
     emit_report(prov, dest / "provenance.json")
+    _record(cfg, "degrade", dest)
     return {"command": "degrade", "level": tag, "images": len(manifest.images)}
 
 
@@ -238,7 +270,7 @@ def cmd_restore(cfg, out_dir=None):
     for entry, img in zip(manifest.images, restored):
         save_tensor(dest / entry.path, img)
     manifest.save(dest / "manifest.json")
-    emit_report({"level": tag, "restore": cfg["restore"], "seed": cfg["seed"]}, dest / "provenance.json")
+    _record(cfg, "restore", dest)
     return {"command": "restore", "level": tag, "images": len(manifest.images)}
 
 
@@ -256,36 +288,36 @@ def _margin(cfg):
     return MarginParams(**cfg["loss"])
 
 
+@contextlib.contextmanager
+def _keeping_diverged(dest):
+    """Keep a diverged training's last good epoch and history in ``dest/diverged``, then re-raise (exit 4)."""
+    try:
+        yield
+    except TrainingError as exc:
+        save_bundle(dest / "diverged", exc.checkpoint)
+        (dest / "diverged" / "history.jsonl").write_text(exc.history.to_jsonl() + "\n", encoding="utf-8")
+        raise
+
+
 def cmd_pretrain(cfg, out_dir=None):
-    out = _out(cfg, out_dir)
+    dest = _out(cfg, out_dir) / "pretrain"
     manifest, clean = _image_set(cfg, out_dir, "dataset")
     images, labels = clean(manifest.split_images("train"))
-    b = cfg["backbone"]
-    result = pretrain(
-        images,
-        labels,
-        _backbone_cfg(cfg),
-        _margin(cfg),
-        epochs=b["epochs"],
-        batch_size=b["batch_size"],
-        lr=b["lr"],
-        warmup_steps=b["warmup_steps"],
-        seed=cfg["seed"],
-    )
-    dest = out / "pretrain"
+    fit_args = {k: cfg["backbone"][k] for k in ("epochs", "batch_size", "lr", "warmup_steps")}
+    with _keeping_diverged(dest):
+        result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), seed=cfg["seed"], **fit_args)
     save_bundle(dest / "backbone", result.params.tensors())
-    drop = 1.0 - result.loss_history[-1] / max(result.loss_history[0], 1e-12)
-    emit_report(
-        {"loss_first": result.loss_history[0], "loss_last": result.loss_history[-1], "loss_drop": drop},
-        dest / "history.json",
-    )
+    _record(cfg, "pretrain", dest / "backbone")
+    first, last = result.loss_history[0], result.loss_history[-1]
+    drop = 1.0 - last / max(first, 1e-12)
+    emit_report({"loss_first": first, "loss_last": last, "loss_drop": drop}, dest / "history.json")
     return {"command": "pretrain", "steps": len(result.loss_history), "loss_drop": drop}
 
 
 def _load_backbone(cfg, out):
     """The pretrained backbone, frozen."""
     params = BackboneParams.init(np.random.default_rng(0), _backbone_cfg(cfg), trainable=False)
-    _load_state(_out(cfg, out) / "pretrain" / "backbone", params.tensors(), "pretrain")
+    _load_state(cfg, _out(cfg, out) / "pretrain" / "backbone", params.tensors(), "pretrain")
     return params
 
 
@@ -298,8 +330,8 @@ def _train_cfg(cfg, **overrides):
 
 
 def cmd_train(cfg, out_dir=None):
-    out = _out(cfg, out_dir)
     tcfg = _train_cfg(cfg)
+    dest = _out(cfg, out_dir) / "train" / tcfg.strategy
     manifest, load_degraded = _image_set(cfg, out_dir, "degraded")
     _, load_restored = _image_set(cfg, out_dir, "restored")
     frozen = _load_backbone(cfg, out_dir)
@@ -307,16 +339,15 @@ def cmd_train(cfg, out_dir=None):
     lq, labels = load_degraded(entries)
     restored, _ = load_restored(entries)
     before = frozen.state_bytes()
-    result = train_adapter(lq, restored, labels, frozen, _fusion_cfg(cfg), _margin(cfg), tcfg)
+    with _keeping_diverged(dest):
+        result = train_adapter(lq, restored, labels, frozen, _fusion_cfg(cfg), _margin(cfg), tcfg)
     if frozen.state_bytes() != before:
         raise TrainingError(f"freeze contract broken: {tcfg.strategy} training changed the frozen backbone")
-    dest = out / "train" / tcfg.strategy
     dest.mkdir(parents=True, exist_ok=True)
     trained = result.tensors()
     if trained:
         save_bundle(dest / "checkpoint", trained)
-    if result.fusion_params is not None:
-        emit_report(dataclasses.asdict(result.fusion_params.cfg), dest / "checkpoint" / "fusion.json")
+        _record(cfg, "train", dest / "checkpoint")
     (dest / "history.jsonl").write_text(result.history.to_jsonl() + "\n", encoding="utf-8")
     return {
         "command": "train",
@@ -328,16 +359,9 @@ def cmd_train(cfg, out_dir=None):
 
 
 def _load_train_result(cfg, out, strategy, frozen):
-    """Trained state of ``finetune_restored`` or ``adapter_joint``; the latter's
-    fusion config, stored beside its weights, must be the run config's."""
-    fcfg = _fusion_cfg(cfg)
-    state = init_state(strategy, frozen, fcfg, cfg["dataset"]["n_identities"], np.random.default_rng(0))
-    dest = _out(cfg, out) / "train" / strategy / "checkpoint"
-    _load_state(dest, state.tensors(), "train")
-    if state.fusion_params is not None:
-        if not (dest / "fusion.json").exists():
-            raise DependencyError(f"{dest / 'fusion.json'} not found; run the `train` command again")
-        _check_made_under(dest, dataclasses.asdict(fcfg), json.loads((dest / "fusion.json").read_text()), "train")
+    """Trained state of ``finetune_restored`` or ``adapter_joint``."""
+    state = init_state(strategy, frozen, _fusion_cfg(cfg), cfg["dataset"]["n_identities"], np.random.default_rng(0))
+    _load_state(cfg, _out(cfg, out) / "train" / strategy / "checkpoint", state.tensors(), "train")
     return state
 
 

@@ -10,6 +10,7 @@ artifacts).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +42,21 @@ class RestoreConfig:
 
 _ARTIFACT_BASIS_SEED = 0xA77  # fixed: artifacts live in one systematic subspace
 _N_ARTIFACT_MODES = 8
-_basis_cache = {}
 
 
+@functools.lru_cache(maxsize=8)
 def _artifact_basis(shape, smooth_px):
-    key = (shape, smooth_px)
-    if key not in _basis_cache:
-        rng = np.random.default_rng(_ARTIFACT_BASIS_SEED)
-        modes = []
-        for _ in range(_N_ARTIFACT_MODES):
-            field = gaussian_filter(rng.standard_normal(shape), smooth_px, mode="wrap")
-            field -= field.mean()
-            modes.append(field / np.sqrt((field * field).mean()))
-        _basis_cache[key] = np.stack(modes)
-    return _basis_cache[key]
+    """Unit-RMS smooth fields spanning the artifact subspace; shared by every
+    caller, so read-only."""
+    rng = np.random.default_rng(_ARTIFACT_BASIS_SEED)
+    modes = []
+    for _ in range(_N_ARTIFACT_MODES):
+        field = gaussian_filter(rng.standard_normal(shape), smooth_px, mode="wrap")
+        field -= field.mean()
+        modes.append(field / np.sqrt((field * field).mean()))
+    basis = np.stack(modes)
+    basis.flags.writeable = False
+    return basis
 
 
 def _smooth_artifacts(shape, sigma, smooth_px, rng):

@@ -105,8 +105,10 @@ def init_params(intensity_meters, image_size, overrides=None):
         p = replace(p, **overrides)
     if p.aperture_diameter <= 0 or p.wavelength <= 0:
         raise ContractError("aperture and wavelength must be positive")
-    if p.pixel_pitch_m <= 0:
-        raise ContractError("pixel_pitch_m must be positive")
+    if p.pixel_pitch_m <= 0 or p.outer_scale_m <= 0:
+        raise ContractError("pixel_pitch_m and outer_scale_m must be positive")
+    if not 1 <= p.pupil_px <= p.fft_size:
+        raise ContractError("pupil_px must lie in [1, fft_size]")
     if p.n_zernike < 3:
         raise ContractError("n_zernike must be >= 3")
     if p.kernel_size % 2 == 0 or p.kernel_size > p.fft_size:

@@ -1,6 +1,6 @@
 """End-to-end CLI runs on a 16-px config: exit codes, byte-identical reruns,
-checkpoints checked against the config, and the work one `ablate` shares
-between its parts."""
+artifacts and checkpoints checked against the config, and the work one
+`ablate` shares between its parts."""
 
 import json
 import os
@@ -61,6 +61,15 @@ def test_pipeline_reruns_byte_identical(config_path, tmp_path, capsys):
     assert first.with_suffix(".csv").read_bytes() == second.with_suffix(".csv").read_bytes()
     report = json.loads(first.read_text())
     assert report["report"]["config"]["n_pairs"] == 24
+    records = sorted(str(p.relative_to(tmp_path / "a")) for p in (tmp_path / "a").rglob("made_under.json"))
+    assert records == [
+        "degraded/20k/made_under.json",
+        "pretrain/backbone/made_under.json",
+        "restored/20k/made_under.json",
+        "train/adapter_joint/checkpoint/made_under.json",
+    ]
+    for rel in records:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
 def test_eval_on_empty_directory_exits_3(config_path, tmp_path, capsys):
@@ -74,7 +83,7 @@ def test_eval_on_empty_directory_exits_3(config_path, tmp_path, capsys):
         "fusion.block_norm=false",
         "fusion.role_variant=b",
         "fusion.attention_order=self_first",
-        # these two change no tensor's shape: only the stored fusion config tells them apart
+        # these two change no tensor's shape: only the checkpoint's made_under.json tells them apart
         "fusion.cascade_depth=3",
         "fusion.use_residual=false",
     ],
@@ -86,14 +95,33 @@ def test_eval_of_a_checkpoint_from_another_fusion_config_exits_3(trained, overri
 
 
 def test_eval_of_a_checkpoint_without_its_fusion_config_exits_3(trained, tmp_path, capsys):
-    # an adapter_joint checkpoint as an older layout wrote it: weights only
+    # weights only, without the record of the config (its fusion section included) they were trained under
     path, out = trained
     for sub in ("dataset", "degraded", "restored", "pretrain", "train"):
         shutil.copytree(out / sub, tmp_path / sub)
-    (tmp_path / "train" / "adapter_joint" / "checkpoint" / "fusion.json").unlink()
+    (tmp_path / "train" / "adapter_joint" / "checkpoint" / "made_under.json").unlink()
     assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "fusion.json not found" in err and "run the `train` command" in err
+    assert "made_under.json not found" in err and "run the `train` command" in err
+
+
+@pytest.mark.parametrize(
+    "cmd, override, made_by",
+    [
+        ("restore", "turbulence.cn2=1e-13", "degrade"),
+        ("eval", "turbulence.cn2=1e-13", "degrade"),
+        ("train", "restore.fidelity_w=0.9", "restore"),
+        ("train", "backbone.lr=0.5", "pretrain"),
+        ("eval", "loss.s=32.0", "pretrain"),
+    ],
+)
+def test_a_command_on_artifacts_made_under_another_config_exits_3(trained, cmd, override, made_by, capsys):
+    # each changes no manifest and no tensor's shape: only the artifacts' made_under.json tell the configs apart
+    path, out = trained
+    assert main([cmd, "--config", str(path), "--out", str(out), "--set", override]) == 3
+    err = capsys.readouterr().err
+    key = override.split("=")[0]
+    assert f"made under another config ({key} differ)" in err and f"run the `{made_by}` command again" in err
 
 
 @pytest.mark.parametrize("override", ["dataset.test_per_identity=5", "seed=5"])
@@ -224,6 +252,29 @@ def test_importing_the_cli_leaves_scipy_signal_unloaded():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "cmd, key, value",
+    [
+        ("degrade", "turbulence.outer_scale_m", "0"),
+        ("degrade", "turbulence.pupil_px", "-3"),
+        ("degrade", "turbulence.pupil_px", "97"),  # wider than the 96-px FFT grid
+        ("pretrain", "backbone.kernel", "-1"),
+        ("pretrain", "backbone.channels", "[]"),
+        ("synth", "dataset.image_size", "-4"),
+        ("synth", "dataset.image_size", "0"),
+    ],
+)
+def test_meaningless_config_value_exits_2_before_writing(trained, tmp_path, cmd, key, value, capsys):
+    # each would otherwise end in a traceback or in meaningless artifacts
+    path, out = trained
+    if cmd != "synth":
+        shutil.copytree(out / "dataset", tmp_path / "dataset")
+    assert main([cmd, "--config", str(path), "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+    assert key.split(".")[1] in capsys.readouterr().err
+    written = {"synth": "dataset", "degrade": "degraded", "pretrain": "pretrain"}[cmd]
+    assert not (tmp_path / written).exists()
+
+
 @pytest.mark.parametrize("key", ["fusion.n_heads", "fusion.normalize_inputs", "train.reuse_pretrain_head"])
 def test_retired_fusion_keys_exit_2(config_path, tmp_path, key, capsys):
     # false is a value the last key accepted while it existed
@@ -252,9 +303,27 @@ def test_gradcheck_passes(config_path, tmp_path, capsys):
 
 
 def test_diverging_train_exits_4(trained, capsys):
+    # the last good epoch goes to diverged/, which nothing loads; the checkpoint stays the last finished run's
     path, out = trained
+    checkpoint = out / "train" / "adapter_joint" / "checkpoint"
+    before = {p.name: p.read_bytes() for p in checkpoint.iterdir()}
     assert main(["train", "--config", str(path), "--out", str(out), "--set", "train.lr_base=1e6"]) == 4
     assert "diverged" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in checkpoint.iterdir()} == before
+    diverged = out / "train" / "adapter_joint" / "diverged"
+    assert json.loads((diverged / "index.json").read_text()).keys() == json.loads(before["index.json"]).keys()
+    assert (diverged / "history.jsonl").exists()
+
+
+def test_diverging_pretrain_exits_4_without_a_backbone(trained, tmp_path, capsys):
+    path, out = trained
+    shutil.copytree(out / "dataset", tmp_path / "dataset")
+    assert main(["pretrain", "--config", str(path), "--out", str(tmp_path), "--set", "backbone.lr=1e6"]) == 4
+    assert "diverged" in capsys.readouterr().err
+    assert not (tmp_path / "pretrain" / "backbone").exists()
+    names = json.loads((tmp_path / "pretrain" / "diverged" / "index.json").read_text())
+    assert {"conv0.w", "dense.w", "head.weights"} <= names.keys()
+    assert (tmp_path / "pretrain" / "diverged" / "history.jsonl").exists()
 
 
 ABLATION_PARTS = ["table3", "fusion_grid", "restorer", "intensity"]

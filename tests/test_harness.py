@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from turbfuse import harness
-from turbfuse.config import load_config
+from turbfuse.config import DEFAULTS, load_config
 from turbfuse.errors import TrainingError
 from turbfuse.fusion import FusionConfig
 from turbfuse.harness import _turb_params, cmd_degrade, cmd_pretrain, cmd_restore, cmd_synth, cmd_train
@@ -31,6 +31,26 @@ def tiny_cfg(tmp_path):
     return load_config(sets=sets)
 
 
+class TestMadeUnder:
+    # the artifacts each recording command reads, besides the dataset
+    READS = {"degrade": (), "restore": ("degrade",), "pretrain": (), "train": ("degrade", "restore", "pretrain")}
+
+    def test_each_record_covers_the_records_of_what_its_command_reads(self):
+        assert harness.MADE_UNDER.keys() == self.READS.keys()
+        for cmd, reads in self.READS.items():
+            for upstream in reads:
+                assert set(harness.MADE_UNDER[cmd]) >= set(harness.MADE_UNDER[upstream]), (cmd, upstream)
+            assert {"seed", "dataset"} <= set(harness.MADE_UNDER[cmd])
+
+    @pytest.mark.parametrize("cmd", sorted(READS))
+    def test_record_lists_every_leaf_key_of_its_sections(self, cmd):
+        want = set()
+        for section in harness.MADE_UNDER[cmd]:
+            value = DEFAULTS[section]
+            want |= {f"{section}.{k}" for k in value} if isinstance(value, dict) else {section}
+        assert set(harness._made_under(DEFAULTS, cmd)) == want
+
+
 class TestDegradeProvenance:
     def test_records_derived_tilt_rms(self, tiny_cfg, tmp_path):
         cmd_synth(tiny_cfg)
@@ -39,6 +59,8 @@ class TestDegradeProvenance:
         params = _turb_params(tiny_cfg)
         assert prov["tilt_rms_px"] == pytest.approx(params.tilt_rms_px, rel=1e-12)
         assert prov["d_over_r0"] == pytest.approx(params.d_over_r0, rel=1e-12)
+        # the seed and the turbulence config are in made_under.json
+        assert set(prov) == {"level", "intensity_meters", "fried_r0", "d_over_r0", "tilt_rms_px"}
 
 
 class TestFreezeContract:

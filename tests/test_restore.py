@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from turbfuse import restore as rs
 from turbfuse import turbsim as ts
 from turbfuse.errors import ContractError
 from turbfuse.restore import RestoreConfig, restore
@@ -16,6 +17,15 @@ def images():
 
 
 class TestOracleBlend:
+    def test_cached_artifact_basis_is_read_only_and_rebuilds_the_same(self, images):
+        clean, degraded, _ = images
+        cfg = RestoreConfig(mode="oracle_blend", artifact_sigma=0.3)
+        first = restore(degraded, cfg, clean=clean, seed=4)
+        with pytest.raises(ValueError):
+            rs._artifact_basis((32, 32), cfg.artifact_smooth_px)[0, 0, 0] = 1.0
+        rs._artifact_basis.cache_clear()
+        assert restore(degraded, cfg, clean=clean, seed=4).tobytes() == first.tobytes()
+
     def test_w0_returns_clean(self, images):
         clean, degraded, _ = images
         cfg = RestoreConfig(mode="oracle_blend", fidelity_w=0.0, artifact_sigma=0.0)
