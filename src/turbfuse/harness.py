@@ -20,8 +20,10 @@ when the artifact is missing or does not fit the config:
 
 Each but ``dataset/`` (whose manifest has its hash) holds ``made_under.json``,
 the ``MADE_UNDER`` sections of the config it was made under, which must be
-the run config's. A checkpoint holds exactly the name -> Tensor dict
-``optim.fit`` trains; a diverged run's last good one goes to ``diverged/``.
+the run config's. A command deletes it before its first write into the
+artifact, so one that dies partway leaves an artifact that exits 3. A
+checkpoint holds exactly the name -> Tensor dict ``optim.fit`` trains; a
+diverged run's last good one goes to ``diverged/``.
 Reports (histories, provenance.json, reports/) are never read back.
 A trained state's fusion weights carry the fusion config they were built
 for, so ``evaluate_strategy`` runs that architecture, whatever the run config.
@@ -120,11 +122,22 @@ MADE_UNDER = {
 
 
 def _made_under(cfg, command):
-    """``MADE_UNDER[command]``'s sections of ``cfg`` as ``section.key -> value``."""
+    """``MADE_UNDER[command]``'s sections of ``cfg`` as ``section.key -> value``.
+    A trained state without fusion weights (any strategy but ``adapter_joint``,
+    as ``init_state`` builds them) is no function of the ``fusion`` section."""
+    sections = MADE_UNDER[command]
+    if command == "train" and cfg["train"]["strategy"] != "adapter_joint":
+        sections = tuple(s for s in sections if s != "fusion")
     flat = {}
-    for s in MADE_UNDER[command]:
+    for s in sections:
         flat.update({f"{s}.{k}": v for k, v in cfg[s].items()} if isinstance(cfg[s], dict) else {s: cfg[s]})
     return flat
+
+
+def _unrecord(dest):
+    """Drop ``dest``'s record before a command's first write into it: a run
+    that dies partway leaves an artifact that no loader accepts."""
+    (dest / "made_under.json").unlink(missing_ok=True)
 
 
 def _record(cfg, command, dest):
@@ -239,6 +252,7 @@ def cmd_degrade(cfg, out_dir=None):
     images, _ = clean(manifest.images)
     degraded = degrade_stack(images, params, cfg["seed"])
     dest = out / "degraded" / tag
+    _unrecord(dest)
     for entry, img in zip(manifest.images, degraded):
         save_tensor(dest / entry.path, img)
     manifest.save(dest / "manifest.json")
@@ -255,7 +269,8 @@ def cmd_degrade(cfg, out_dir=None):
 
 
 def cmd_restore(cfg, out_dir=None):
-    if cfg["restore"]["mode"] == "wiener":
+    rcfg = _restore_cfg(cfg)
+    if rcfg.mode == "wiener":
         _check_wiener_psf(cfg)
     out = _out(cfg, out_dir)
     manifest, load_clean = _image_set(cfg, out_dir, "dataset")
@@ -264,9 +279,9 @@ def cmd_restore(cfg, out_dir=None):
     tag = level_tag(params.intensity_meters)
     clean, _ = load_clean(manifest.images)
     degraded, _ = load_degraded(manifest.images)
-    rcfg = _restore_cfg(cfg)
     restored = restore_stack(degraded, clean, params, rcfg, cfg["seed"])
     dest = out / "restored" / tag
+    _unrecord(dest)
     for entry, img in zip(manifest.images, restored):
         save_tensor(dest / entry.path, img)
     manifest.save(dest / "manifest.json")
@@ -306,6 +321,7 @@ def cmd_pretrain(cfg, out_dir=None):
     fit_args = {k: cfg["backbone"][k] for k in ("epochs", "batch_size", "lr", "warmup_steps")}
     with _keeping_diverged(dest):
         result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), seed=cfg["seed"], **fit_args)
+    _unrecord(dest / "backbone")
     save_bundle(dest / "backbone", result.params.tensors())
     _record(cfg, "pretrain", dest / "backbone")
     first, last = result.loss_history[0], result.loss_history[-1]
@@ -346,6 +362,7 @@ def cmd_train(cfg, out_dir=None):
     dest.mkdir(parents=True, exist_ok=True)
     trained = result.tensors()
     if trained:
+        _unrecord(dest / "checkpoint")
         save_bundle(dest / "checkpoint", trained)
         _record(cfg, "train", dest / "checkpoint")
     (dest / "history.jsonl").write_text(result.history.to_jsonl() + "\n", encoding="utf-8")

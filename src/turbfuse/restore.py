@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ContractError, ShapeError
 
@@ -36,12 +35,36 @@ class RestoreConfig:
             raise ContractError("fidelity_w must lie in [0, 1]")
         if self.artifact_sigma < 0:
             raise ContractError("artifact_sigma must be nonnegative")
+        if self.artifact_smooth_px < 0:
+            raise ContractError("artifact_smooth_px must be nonnegative")
         if self.wiener_nsr <= 0:
             raise ContractError("wiener_nsr must be positive")
 
 
 _ARTIFACT_BASIS_SEED = 0xA77  # fixed: artifacts live in one systematic subspace
 _N_ARTIFACT_MODES = 8
+
+
+def _circular_gaussian(field, sigma):
+    """Gaussian smoothing of a 2-D field with periodic boundaries, the kernel
+    of ``scipy.ndimage.gaussian_filter(field, sigma, mode="wrap")``: radius
+    ``int(4 sigma + 0.5)``, weights exp(-t^2 / 2 sigma^2) normalised, applied
+    along axis 0 then axis 1, each tap index taken modulo the axis length.
+    It sums in scipy's order: the centre tap, then each pair of taps from the
+    outermost in. Radius 0 (sigma below 0.125, 0 included) is the one-tap
+    identity."""
+    radius = int(4.0 * sigma + 0.5)
+    if radius == 0:
+        return field
+    t = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * t**2)
+    w = w / w.sum()
+    for axis in (0, 1):
+        out = field * w[radius]
+        for d in range(radius, 0, -1):
+            out += (np.roll(field, d, axis) + np.roll(field, -d, axis)) * w[radius + d]
+        field = out
+    return field
 
 
 @functools.lru_cache(maxsize=8)
@@ -51,7 +74,7 @@ def _artifact_basis(shape, smooth_px):
     rng = np.random.default_rng(_ARTIFACT_BASIS_SEED)
     modes = []
     for _ in range(_N_ARTIFACT_MODES):
-        field = gaussian_filter(rng.standard_normal(shape), smooth_px, mode="wrap")
+        field = _circular_gaussian(rng.standard_normal(shape), smooth_px)
         field -= field.mean()
         modes.append(field / np.sqrt((field * field).mean()))
     basis = np.stack(modes)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma as sp_gamma
 
 from .errors import ContractError, ShapeError
 
@@ -218,11 +217,11 @@ def _noll_cov_entry(ni, mi, nj, mj):
         return 0.0
     m = abs(mi)
     sign = (-1.0) ** ((ni + nj - 2 * m) / 2.0)
-    num = sp_gamma(14.0 / 3.0) * sp_gamma((ni + nj - 5.0 / 3.0) / 2.0)
+    num = math.gamma(14.0 / 3.0) * math.gamma((ni + nj - 5.0 / 3.0) / 2.0)
     den = (
-        sp_gamma((ni - nj + 17.0 / 3.0) / 2.0)
-        * sp_gamma((nj - ni + 17.0 / 3.0) / 2.0)
-        * sp_gamma((ni + nj + 23.0 / 3.0) / 2.0)
+        math.gamma((ni - nj + 17.0 / 3.0) / 2.0)
+        * math.gamma((nj - ni + 17.0 / 3.0) / 2.0)
+        * math.gamma((ni + nj + 23.0 / 3.0) / 2.0)
     )
     front = 0.0072077  # (2*pi)^(11/3)*0.0457654*(1/2)^(5/3)/(2*pi)^(14/3)*pi
     return front * math.sqrt((ni + 1) * (nj + 1)) * sign * math.pi ** (8.0 / 3.0) * num / den

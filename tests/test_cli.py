@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import turbfuse
-from turbfuse import harness
+from turbfuse import harness, tensorio
 from turbfuse.cli import main
 from turbfuse.config import DEFAULTS
 from turbfuse.datagen import DatasetManifest, load_images
@@ -103,6 +103,56 @@ def test_eval_of_a_checkpoint_without_its_fusion_config_exits_3(trained, tmp_pat
     assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "made_under.json not found" in err and "run the `train` command" in err
+
+
+@pytest.mark.parametrize(
+    "cmd, override, writer, inputs, then",
+    [
+        ("degrade", "turbulence.cn2=1e-13", harness, ("dataset", "degraded"), "restore"),
+        ("restore", "restore.fidelity_w=0.9", harness, ("dataset", "degraded", "restored", "pretrain"), "train"),
+        ("pretrain", "backbone.lr=0.5", tensorio, ("dataset", "degraded", "restored", "pretrain"), "train"),
+        ("train", "train.lr_base=0.01", tensorio, ("dataset", "degraded", "restored", "pretrain", "train"), "eval"),
+    ],
+)
+def test_a_run_that_dies_partway_leaves_an_artifact_no_command_loads(
+    trained, tmp_path, monkeypatch, cmd, override, writer, inputs, then, capsys
+):
+    # the first 5 files of the new config overwrite the old set, whose record would otherwise still fit the rest
+    path, out = trained
+    for sub in inputs:
+        shutil.copytree(out / sub, tmp_path / sub)
+    save_tensor, written = writer.save_tensor, []
+
+    def dies_after_five(*args):
+        if len(written) == 5:
+            raise OSError("disk full")
+        written.append(save_tensor(*args))
+
+    monkeypatch.setattr(writer, "save_tensor", dies_after_five)
+    with pytest.raises(OSError):
+        main([cmd, "--config", str(path), "--out", str(tmp_path), "--set", override])
+    monkeypatch.undo()
+    assert len(written) == 5
+    capsys.readouterr()
+    assert main([then, "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "made_under.json not found" in err and f"run the `{cmd}` command again" in err
+
+
+def test_finetune_restored_checkpoint_does_not_depend_on_the_fusion_config(trained, tmp_path, capsys):
+    # finetune_restored trains no fusion weights, so the fusion section is no part of its record
+    path, out = trained
+    for sub in ("dataset", "degraded", "restored", "pretrain"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    argv = ["--config", str(path), "--out", str(tmp_path), "--format", "csv", "--set", "train.strategy=finetune_restored"]
+    assert main(["train"] + argv) == 0
+    record = json.loads((tmp_path / "train" / "finetune_restored" / "checkpoint" / "made_under.json").read_text())
+    assert "train.strategy" in record and not any(k.startswith("fusion.") for k in record)
+    scores = tmp_path / "reports" / "eval_finetune_restored_20k.csv"
+    assert main(["eval"] + argv) == 0
+    before = scores.read_bytes()
+    assert main(["eval"] + argv + ["--set", "fusion.cascade_depth=3"]) == 0
+    assert scores.read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -244,12 +294,41 @@ def test_importing_the_package_pins_blas_threads():
     assert out.strip() == "['1', '1', '1']"
 
 
-def test_importing_the_cli_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about a second and 50 MB to import; blur uses numpy.fft
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # numpy is the one runtime dependency; scipy is only the tests' reference
     env = dict(os.environ, PYTHONPATH=str(Path(turbfuse.__file__).resolve().parents[1]))
-    code = "import sys, turbfuse.cli; print('scipy.signal' in sys.modules)"
+    code = "import sys, turbfuse.cli, turbfuse.harness; print([m for m in sys.modules if m.startswith('scipy')])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not installed")
+
+sys.meta_path.insert(0, NoScipy())
+from turbfuse.cli import main
+
+config, out = sys.argv[1:]
+argv = ["--config", config, "--out", out]
+for cmd, sets in [("synth", []), ("degrade", []), ("restore", []), ("restore", ["--set", "restore.mode=wiener"])]:
+    assert main([cmd] + argv + sets) == 0, cmd
+"""
+
+
+def test_the_image_commands_run_without_scipy_installed(tmp_path):
+    # a PSF that fits the 16-px images, so wiener can deconvolve with it
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(dict(TINY, turbulence={"kernel_size": 15})))
+    env = dict(os.environ, PYTHONPATH=str(Path(turbfuse.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", NO_SCIPY, str(config), str(tmp_path / "out")]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "restored" / "20k" / "made_under.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -262,16 +341,17 @@ def test_importing_the_cli_leaves_scipy_signal_unloaded():
         ("pretrain", "backbone.channels", "[]"),
         ("synth", "dataset.image_size", "-4"),
         ("synth", "dataset.image_size", "0"),
+        ("restore", "restore.artifact_smooth_px", "-1"),  # would write unsmoothed white-noise artifacts
     ],
 )
 def test_meaningless_config_value_exits_2_before_writing(trained, tmp_path, cmd, key, value, capsys):
     # each would otherwise end in a traceback or in meaningless artifacts
     path, out = trained
-    if cmd != "synth":
-        shutil.copytree(out / "dataset", tmp_path / "dataset")
+    for sub in {"synth": (), "restore": ("dataset", "degraded")}.get(cmd, ("dataset",)):
+        shutil.copytree(out / sub, tmp_path / sub)
     assert main([cmd, "--config", str(path), "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
     assert key.split(".")[1] in capsys.readouterr().err
-    written = {"synth": "dataset", "degrade": "degraded", "pretrain": "pretrain"}[cmd]
+    written = {"synth": "dataset", "degrade": "degraded", "restore": "restored", "pretrain": "pretrain"}[cmd]
     assert not (tmp_path / written).exists()
 
 

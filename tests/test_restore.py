@@ -61,6 +61,26 @@ class TestOracleBlend:
             restore(degraded, RestoreConfig(mode="oracle_blend"))
 
 
+class TestArtifactSmoothing:
+    @pytest.mark.parametrize("n", [64, 32, 8])
+    @pytest.mark.parametrize("sigma", [0.5, 3.0, 5.0])
+    def test_equals_scipy_wrap_gaussian_filter(self, n, sigma):
+        # sigma 5 on 8 px: the 20-px radius wraps round the image more than twice
+        from scipy.ndimage import gaussian_filter
+
+        field = np.random.default_rng(n).standard_normal((n, n))
+        expect = gaussian_filter(field, sigma, mode="wrap")
+        np.testing.assert_allclose(rs._circular_gaussian(field, sigma), expect, rtol=0, atol=1e-14)
+
+    def test_zero_smoothing_is_the_unit_rms_white_field(self):
+        # scipy skips a sigma of 0; so does the one-tap kernel
+        rng = np.random.default_rng(rs._ARTIFACT_BASIS_SEED)
+        for mode in rs._artifact_basis((8, 8), 0.0):
+            field = rng.standard_normal((8, 8))
+            field -= field.mean()
+            np.testing.assert_array_equal(mode, field / np.sqrt((field * field).mean()))
+
+
 class TestWiener:
     def test_delta_psf_identity(self, images):
         _, degraded, _ = images
@@ -98,5 +118,7 @@ def test_config_validation():
         RestoreConfig(fidelity_w=1.5)
     with pytest.raises(ContractError):
         RestoreConfig(artifact_sigma=-0.1)
+    with pytest.raises(ContractError):
+        RestoreConfig(artifact_smooth_px=-1.0)
     with pytest.raises(ContractError):
         RestoreConfig(wiener_nsr=0.0)

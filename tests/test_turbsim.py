@@ -153,6 +153,18 @@ class TestNoll:
         np.testing.assert_allclose(diag[3:7], 0.0062, rtol=0.05)
         np.testing.assert_allclose(diag[7], 0.0024, rtol=0.05)
 
+    def test_covariance_entries_match_scipy_gamma(self, monkeypatch):
+        # every entry of the 33-mode covariance, against the same formula on scipy.special.gamma
+        from scipy.special import gamma
+
+        nm = [ts.noll_to_nm(j) for j in range(4, 4 + 33)]
+        got = [ts._noll_cov_entry(*a, *b) for a in nm for b in nm]
+        calls = []
+        monkeypatch.setattr(math, "gamma", lambda x: calls.append(x) or gamma(x))
+        expect = [ts._noll_cov_entry(*a, *b) for a in nm for b in nm]
+        assert calls  # the reference really ran on scipy's gamma
+        np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
+
     def test_covariance_scales_with_d_over_r0(self):
         p1 = ts.init_params(10_000, 64)
         p2 = ts.init_params(40_000, 64)
