@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_hash
 from .errors import ContractError
 from .tensorio import load_tensor, save_tensor
 
@@ -43,7 +42,6 @@ class ManifestImage:
 @dataclass
 class DatasetManifest:
     images: list
-    config_hash: str
     generator_version: str = GENERATOR_VERSION
     image_size: int = 64
 
@@ -53,7 +51,6 @@ class DatasetManifest:
     def save(self, path):
         payload = {
             "images": [vars(im) for im in self.images],
-            "config_hash": self.config_hash,
             "generator_version": self.generator_version,
             "image_size": self.image_size,
         }
@@ -69,7 +66,6 @@ class DatasetManifest:
             payload = json.load(fh)
         return cls(
             images=[ManifestImage(**im) for im in payload["images"]],
-            config_hash=payload["config_hash"],
             generator_version=payload["generator_version"],
             image_size=payload["image_size"],
         )
@@ -131,20 +127,12 @@ def render(identity: IdentitySpec, jitter_seed, image_size):
     return (0.5 + 0.45 * np.tanh(raw)).astype(np.float64)
 
 
-def dataset_hash(n_identities, per_identity, n_test_identities, test_per_identity, image_size, seed):
-    """The ``config_hash`` a dataset's manifest records: every input its bytes
-    depend on, the generator version included."""
-    return config_hash(
-        {
-            "n_identities": n_identities,
-            "per_identity": per_identity,
-            "n_test_identities": n_test_identities,
-            "test_per_identity": test_per_identity,
-            "image_size": image_size,
-            "seed": seed,
-            "generator_version": GENERATOR_VERSION,
-        }
-    )
+def check_dataset(n_identities, per_identity, image_size):
+    """Raise unless ``synth_dataset`` can render a dataset of this shape."""
+    if n_identities < 4 or per_identity < 2:
+        raise ContractError("need n_identities >= 4 and per_identity >= 2")
+    if image_size < 1:
+        raise ContractError(f"image_size must be positive, got {image_size}")
 
 
 def synth_dataset(
@@ -163,16 +151,12 @@ def synth_dataset(
     after them, so the zero-shot contract (disjoint identity sets) holds by
     construction. Returns the saved DatasetManifest.
     """
-    if n_identities < 4 or per_identity < 2:
-        raise ContractError("need n_identities >= 4 and per_identity >= 2")
-    if image_size < 1:
-        raise ContractError(f"image_size must be positive, got {image_size}")
+    check_dataset(n_identities, per_identity, image_size)
     if test_per_identity is None:
         test_per_identity = per_identity
 
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    cfg_hash = dataset_hash(n_identities, per_identity, n_test_identities, test_per_identity, image_size, seed)
 
     specs = {}
     plan = [("train", range(n_identities), per_identity)]
@@ -196,7 +180,7 @@ def synth_dataset(
     if dists.min() <= 0:
         raise ContractError("identity latents collided")
 
-    manifest = DatasetManifest(images=images, config_hash=cfg_hash, image_size=image_size)
+    manifest = DatasetManifest(images=images, image_size=image_size)
     manifest.save(out_dir / "manifest.json")
     return manifest
 

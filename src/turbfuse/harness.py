@@ -18,12 +18,13 @@ when the artifact is missing or does not fit the config:
     pretrain/backbone/                           _load_backbone -> _load_state
     train/<strategy>/checkpoint/                 _load_train_result -> _load_state
 
-Each but ``dataset/`` (whose manifest has its hash) holds ``made_under.json``,
-the ``MADE_UNDER`` sections of the config it was made under, which must be
-the run config's. A command deletes it before its first write into the
-artifact, so one that dies partway leaves an artifact that exits 3. A
-checkpoint holds exactly the name -> Tensor dict ``optim.fit`` trains; a
-diverged run's last good one goes to ``diverged/``.
+Each holds ``made_under.json``, the ``MADE_UNDER`` entries of the config it
+was made under, which ``_check_record`` compares with the run config's. A
+command deletes it before its first write into the artifact and swaps a
+whole one in after its last, so one that dies partway leaves an artifact
+that exits 3 before any of it is parsed. A checkpoint holds exactly the
+name -> Tensor dict ``optim.fit`` trains; a diverged run's last good one goes
+to ``diverged/``.
 Reports (histories, provenance.json, reports/) are never read back.
 A trained state's fusion weights carry the fusion config they were built
 for, so ``evaluate_strategy`` runs that architecture, whatever the run config.
@@ -34,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import os
 import subprocess
 from functools import partial
 from pathlib import Path
@@ -44,7 +46,7 @@ from . import __version__
 from . import tensor as T
 from .backbone import BackboneConfig, BackboneParams, embed, pretrain
 from .config import config_hash
-from .datagen import DatasetManifest, dataset_hash, load_images, make_pairs, synth_dataset
+from .datagen import GENERATOR_VERSION, DatasetManifest, check_dataset, load_images, make_pairs, synth_dataset
 from .errors import ConfigError, ContractError, DependencyError, EvaluationError, TrainingError
 from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
@@ -107,30 +109,30 @@ def _out(cfg, out_dir=None):
     return Path(out_dir or cfg["output_dir"])
 
 
-def _dataset_args(cfg):
-    """``synth_dataset``'s arguments (and ``dataset_hash``'s) from the config."""
-    return dict(cfg["dataset"], seed=cfg["seed"])
-
-
-# The config sections each command's artifact is a function of, its inputs' included
+# Test identities are numbered after the train ones: the train split is no function of the test split's keys
+_TRAIN_SPLIT = ("dataset.n_identities", "dataset.per_identity", "dataset.image_size")
+# The config sections and ``section.key``s each command's artifact is a function of, its inputs' included
 MADE_UNDER = {
+    "synth": ("seed", "dataset"),
     "degrade": ("seed", "dataset", "turbulence"),
     "restore": ("seed", "dataset", "turbulence", "restore"),
-    "pretrain": ("seed", "dataset", "backbone", "loss"),
-    "train": ("seed", "dataset", "turbulence", "restore", "backbone", "loss", "fusion", "train"),
+    "pretrain": ("seed", *_TRAIN_SPLIT, "backbone", "loss"),
+    "train": ("seed", *_TRAIN_SPLIT, "turbulence", "restore", "backbone", "loss", "fusion", "train"),
 }
 
 
 def _made_under(cfg, command):
-    """``MADE_UNDER[command]``'s sections of ``cfg`` as ``section.key -> value``.
+    """``MADE_UNDER[command]``'s entries of ``cfg`` as ``section.key -> value``.
     A trained state without fusion weights (any strategy but ``adapter_joint``,
     as ``init_state`` builds them) is no function of the ``fusion`` section."""
-    sections = MADE_UNDER[command]
+    entries = MADE_UNDER[command]
     if command == "train" and cfg["train"]["strategy"] != "adapter_joint":
-        sections = tuple(s for s in sections if s != "fusion")
+        entries = tuple(e for e in entries if e != "fusion")
     flat = {}
-    for s in sections:
-        flat.update({f"{s}.{k}": v for k, v in cfg[s].items()} if isinstance(cfg[s], dict) else {s: cfg[s]})
+    for e in entries:
+        section, _, key = e.partition(".")
+        value = cfg[section][key] if key else cfg[e]
+        flat.update({f"{e}.{k}": v for k, v in value.items()} if isinstance(value, dict) else {e: value})
     return flat
 
 
@@ -141,44 +143,51 @@ def _unrecord(dest):
 
 
 def _record(cfg, command, dest):
-    emit_report(_made_under(cfg, command), dest / "made_under.json")
+    """Write ``dest``'s record after its last file, through a temporary name: it is whole or absent."""
+    tmp = emit_report(_made_under(cfg, command), dest / "made_under.json.tmp")
+    os.replace(tmp, dest / "made_under.json")
 
 
-def _check_record(cfg, dest, command, name):
-    """Raise unless the artifact at ``dest`` was made under ``cfg``'s ``command`` record."""
-    if not (dest / "made_under.json").exists():
-        raise DependencyError(f"{dest / 'made_under.json'} not found; run the `{command}` command again")
-    _check_made_under(name, _made_under(cfg, command), json.loads((dest / "made_under.json").read_text()), command)
+def _read_record(dest, command):
+    """``dest``'s record, read before any other file of a maybe half-written artifact."""
+    path = dest / "made_under.json"
+    if not dest.exists():
+        raise DependencyError(f"{dest} not found; run the `{command}` command first")
+    if not path.exists():
+        raise DependencyError(f"{path} not found; run the `{command}` command again")
+    return json.loads(path.read_text())
+
+
+def _check_record(cfg, record, command, name):
+    """Raise unless ``record`` is ``cfg``'s ``command`` record."""
+    _check_made_under(name, _made_under(cfg, command), record, command)
 
 
 def _image_set(cfg, out, kind):
     """Manifest of one image set, plus a loader of its images by manifest
     entries: the ``dataset``, or the ``degraded`` or ``restored`` set at the
-    config's intensity level. Each manifest is a copy of the dataset's, so
-    its ``config_hash`` must be the one the run config gives the dataset."""
+    config's intensity level. Its record must be the run config's and its
+    manifest's generator this one; a mismatch names the set's own command."""
     name = kind if kind == "dataset" else f"{kind}/{level_tag(cfg['turbulence']['intensity_meters'])}"
     root = _out(cfg, out) / name
     made_by = {"dataset": "synth", "degraded": "degrade", "restored": "restore"}[kind]
-    if not (root / "manifest.json").exists():
-        raise DependencyError(f"{name} not found; run the `{made_by}` command first")
+    _check_record(cfg, _read_record(root, made_by), made_by, name)
     manifest = DatasetManifest.load(root / "manifest.json")
-    if manifest.config_hash != dataset_hash(**_dataset_args(cfg)):
+    if manifest.generator_version != GENERATOR_VERSION:
         raise DependencyError(
-            f"{name} was made from a dataset of another config (seed or dataset differ); run the `synth` command again"
+            f"{name} was made by generator {manifest.generator_version}; run the `{made_by}` command again"
         )
-    if kind != "dataset":
-        _check_record(cfg, root, made_by, name)
     return manifest, partial(load_images, root)
 
 
 def _load_state(cfg, dest, tensors, command):
     """Fill ``tensors`` (name -> Tensor) in place from the bundle at ``dest``,
-    made under ``cfg``, which must hold exactly the same names and shapes."""
-    if not (dest / "index.json").exists():
-        raise DependencyError(f"{dest} not found; run the `{command}` command first")
+    made under ``cfg``, which must hold exactly the same names and shapes
+    (compared first, so the error names the tensors of another architecture)."""
+    record = _read_record(dest, command)
     arrays = load_bundle(dest)
     _check_made_under(dest, {k: t.shape for k, t in tensors.items()}, {k: a.shape for k, a in arrays.items()}, command)
-    _check_record(cfg, dest, command, dest)
+    _check_record(cfg, record, command, dest)
     for k, t in tensors.items():
         t.data[...] = arrays[k]
 
@@ -240,7 +249,11 @@ def restore_stack(degraded, clean, params, rcfg: RestoreConfig, cfg_seed, seed_s
 
 
 def cmd_synth(cfg, out_dir=None):
-    manifest = synth_dataset(_out(cfg, out_dir) / "dataset", **_dataset_args(cfg))
+    dest, d = _out(cfg, out_dir) / "dataset", cfg["dataset"]
+    check_dataset(d["n_identities"], d["per_identity"], d["image_size"])  # a rejected config keeps the old record
+    _unrecord(dest)
+    manifest = synth_dataset(dest, **d, seed=cfg["seed"])
+    _record(cfg, "synth", dest)
     return {"command": "synth", "images": len(manifest.images), "config_hash": config_hash(cfg)}
 
 

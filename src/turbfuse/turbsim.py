@@ -49,7 +49,10 @@ class TurbulenceParams:
     fft_size: int = 96
     pupil_px: int = 32
     kernel_size: int = 23
-    fried_r0: float = None
+
+    @property
+    def fried_r0(self):
+        return fried_parameter(self.intensity_meters, self.wavelength, self.cn2)
 
     @property
     def d_over_r0(self):
@@ -102,8 +105,8 @@ def init_params(intensity_meters, image_size, overrides=None):
         if bad:
             raise ContractError(f"unknown turbulence overrides: {sorted(bad)}")
         p = replace(p, **overrides)
-    if p.aperture_diameter <= 0 or p.wavelength <= 0:
-        raise ContractError("aperture and wavelength must be positive")
+    if p.aperture_diameter <= 0 or p.wavelength <= 0 or p.cn2 < 0:
+        raise ContractError("aperture and wavelength must be positive, and cn2 nonnegative")
     if p.pixel_pitch_m <= 0 or p.outer_scale_m <= 0:
         raise ContractError("pixel_pitch_m and outer_scale_m must be positive")
     if not 1 <= p.pupil_px <= p.fft_size:
@@ -112,8 +115,6 @@ def init_params(intensity_meters, image_size, overrides=None):
         raise ContractError("n_zernike must be >= 3")
     if p.kernel_size % 2 == 0 or p.kernel_size > p.fft_size:
         raise ContractError("kernel_size must be odd and <= fft_size")
-    if overrides is None or "fried_r0" not in overrides or p.fried_r0 is None:
-        p = replace(p, fried_r0=fried_parameter(p.intensity_meters, p.wavelength, p.cn2))
     return p
 
 

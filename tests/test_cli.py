@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import turbfuse
-from turbfuse import harness, tensorio
+from turbfuse import datagen, harness, tensorio
 from turbfuse.cli import main
 from turbfuse.config import DEFAULTS
 from turbfuse.datagen import DatasetManifest, load_images
@@ -53,23 +53,26 @@ def trained(tmp_path_factory):
     return path, root / "out"
 
 
+def tree(root):
+    """Relative path -> bytes of every file under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_pipeline_reruns_byte_identical(config_path, tmp_path, capsys):
     first = run_pipeline(config_path, tmp_path / "a")
-    second = run_pipeline(config_path, tmp_path / "b")
+    run_pipeline(config_path, tmp_path / "b")
     capsys.readouterr()
-    assert first.read_bytes() == second.read_bytes()
-    assert first.with_suffix(".csv").read_bytes() == second.with_suffix(".csv").read_bytes()
     report = json.loads(first.read_text())
     assert report["report"]["config"]["n_pairs"] == 24
-    records = sorted(str(p.relative_to(tmp_path / "a")) for p in (tmp_path / "a").rglob("made_under.json"))
-    assert records == [
+    files = tree(tmp_path / "a")
+    assert files == tree(tmp_path / "b")
+    assert sorted(rel for rel in files if rel.endswith("made_under.json")) == [
+        "dataset/made_under.json",
         "degraded/20k/made_under.json",
         "pretrain/backbone/made_under.json",
         "restored/20k/made_under.json",
         "train/adapter_joint/checkpoint/made_under.json",
     ]
-    for rel in records:
-        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
 def test_eval_on_empty_directory_exits_3(config_path, tmp_path, capsys):
@@ -106,33 +109,41 @@ def test_eval_of_a_checkpoint_without_its_fusion_config_exits_3(trained, tmp_pat
 
 
 @pytest.mark.parametrize(
-    "cmd, override, writer, inputs, then",
+    "cmd, override, writer, done, inputs, then",
     [
-        ("degrade", "turbulence.cn2=1e-13", harness, ("dataset", "degraded"), "restore"),
-        ("restore", "restore.fidelity_w=0.9", harness, ("dataset", "degraded", "restored", "pretrain"), "train"),
-        ("pretrain", "backbone.lr=0.5", tensorio, ("dataset", "degraded", "restored", "pretrain"), "train"),
-        ("train", "train.lr_base=0.01", tensorio, ("dataset", "degraded", "restored", "pretrain", "train"), "eval"),
+        ("synth", "seed=5", datagen, 5, ("dataset",), "degrade"),
+        ("degrade", "turbulence.cn2=1e-13", harness, 5, ("dataset", "degraded"), "restore"),
+        ("restore", "restore.fidelity_w=0.9", harness, 5, ("dataset", "degraded", "restored", "pretrain"), "train"),
+        ("pretrain", "backbone.lr=0.5", tensorio, 5, ("dataset", "degraded", "restored", "pretrain"), "train"),
+        ("train", "train.lr_base=0.01", tensorio, 5, ("dataset", "degraded", "restored", "pretrain", "train"), "eval"),
+        # dies inside a JSON write: the degraded manifest, the bundle index, and the record after it
+        ("degrade", "turbulence.cn2=1e-13", json, 0, ("dataset", "degraded"), "restore"),
+        ("pretrain", "backbone.lr=0.5", json, 0, ("dataset", "degraded", "restored", "pretrain"), "train"),
+        ("pretrain", "backbone.lr=0.5", json, 1, ("dataset", "degraded", "restored", "pretrain"), "eval"),
     ],
 )
 def test_a_run_that_dies_partway_leaves_an_artifact_no_command_loads(
-    trained, tmp_path, monkeypatch, cmd, override, writer, inputs, then, capsys
+    trained, tmp_path, monkeypatch, cmd, override, writer, done, inputs, then, capsys
 ):
-    # the first 5 files of the new config overwrite the old set, whose record would otherwise still fit the rest
+    # the first files of the new config overwrite the old set, whose record would otherwise still fit the rest
     path, out = trained
     for sub in inputs:
         shutil.copytree(out / sub, tmp_path / sub)
-    save_tensor, written = writer.save_tensor, []
+    name = "dump" if writer is json else "save_tensor"
+    real, written = getattr(writer, name), []
 
-    def dies_after_five(*args):
-        if len(written) == 5:
+    def dies_partway(*args, **kw):
+        if len(written) == done:
+            if writer is json:  # half of the text reaches the file
+                args[1].write(json.dumps(args[0], **kw)[:40])
             raise OSError("disk full")
-        written.append(save_tensor(*args))
+        written.append(real(*args, **kw))
 
-    monkeypatch.setattr(writer, "save_tensor", dies_after_five)
+    monkeypatch.setattr(writer, name, dies_partway)
     with pytest.raises(OSError):
         main([cmd, "--config", str(path), "--out", str(tmp_path), "--set", override])
     monkeypatch.undo()
-    assert len(written) == 5
+    assert len(written) == done
     capsys.readouterr()
     assert main([then, "--config", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
@@ -178,7 +189,9 @@ def test_a_command_on_artifacts_made_under_another_config_exits_3(trained, cmd, 
 def test_eval_on_a_dataset_from_another_config_exits_3(trained, override, capsys):
     path, out = trained
     assert main(["eval", "--config", str(path), "--out", str(out), "--set", override]) == 3
-    assert "dataset was made from a dataset of another config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    key = override.split("=")[0]
+    assert f"dataset was made under another config ({key} differ)" in err and "run the `synth` command again" in err
 
 
 def test_degraded_set_from_another_dataset_exits_3(trained, tmp_path, capsys):
@@ -189,7 +202,44 @@ def test_degraded_set_from_another_dataset_exits_3(trained, tmp_path, capsys):
     assert main(["synth"] + argv) == 0
     assert main(["restore"] + argv) == 3
     err = capsys.readouterr().err
-    assert "degraded/20k was made from a dataset of another config" in err and "run the `synth` command" in err
+    assert "degraded/20k was made under another config (seed differ)" in err
+    assert "run the `degrade` command again" in err
+    # the advice is the way out
+    assert main(["degrade"] + argv) == 0
+    assert main(["restore"] + argv) == 0
+
+
+@pytest.mark.parametrize(
+    "kind, made_by", [("dataset", "synth"), ("degraded/20k", "degrade"), ("restored/20k", "restore")]
+)
+def test_a_set_from_another_generator_version_exits_3(trained, tmp_path, kind, made_by, capsys):
+    path, out = trained
+    for sub in ("dataset", "degraded", "restored", "pretrain", "train"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    manifest = DatasetManifest.load(tmp_path / kind / "manifest.json")
+    manifest.generator_version = "g0"
+    manifest.save(tmp_path / kind / "manifest.json")
+    assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{kind} was made by generator g0" in err and f"run the `{made_by}` command again" in err
+
+
+def test_a_larger_test_split_reuses_the_backbone_and_checkpoint(trained, tmp_path, capsys):
+    # test identities are numbered after the train ones, so no train-side byte depends on the test split
+    path, out = trained
+    argv = ["--config", str(path), "--format", "csv", "--set", "dataset.n_test_identities=6"]
+    grown, fresh = tmp_path / "grown", tmp_path / "fresh"
+    checkpoints = ("pretrain/backbone", "train/adapter_joint/checkpoint")
+    for sub in checkpoints:
+        shutil.copytree(out / sub, grown / sub)
+    for cmd in ("synth", "degrade", "restore", "eval"):
+        assert main([cmd, "--out", str(grown)] + argv) == 0
+    for cmd in PIPELINE:
+        assert main([cmd, "--out", str(fresh)] + argv) == 0
+    capsys.readouterr()
+    for sub in checkpoints:
+        assert tree(grown / sub) == tree(fresh / sub)
+    assert tree(grown / "reports") == tree(fresh / "reports")
 
 
 @pytest.mark.parametrize(
@@ -353,6 +403,14 @@ def test_meaningless_config_value_exits_2_before_writing(trained, tmp_path, cmd,
     assert key.split(".")[1] in capsys.readouterr().err
     written = {"synth": "dataset", "degrade": "degraded", "restore": "restored", "pretrain": "pretrain"}[cmd]
     assert not (tmp_path / written).exists()
+
+
+def test_a_rejected_synth_leaves_the_dataset_loadable(trained, tmp_path, capsys):
+    path, out = trained
+    shutil.copytree(out / "dataset", tmp_path / "dataset")
+    before = tree(tmp_path / "dataset")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path), "--set", "dataset.n_identities=3"]) == 2
+    assert tree(tmp_path / "dataset") == before
 
 
 @pytest.mark.parametrize("key", ["fusion.n_heads", "fusion.normalize_inputs", "train.reuse_pretrain_head"])

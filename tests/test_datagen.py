@@ -50,7 +50,7 @@ class TestSynthDataset:
     def test_deterministic_bytes(self, tmp_path):
         m1 = dg.synth_dataset(tmp_path / "a", 4, 2, image_size=16, seed=3, n_test_identities=2)
         m2 = dg.synth_dataset(tmp_path / "b", 4, 2, image_size=16, seed=3, n_test_identities=2)
-        assert m1.config_hash == m2.config_hash
+        assert m1 == m2
         for ia, ib in zip(m1.images, m2.images):
             assert vars(ia) == vars(ib)
             ba = (tmp_path / "a" / ia.path).read_bytes()
@@ -67,7 +67,7 @@ class TestSynthDataset:
     def test_manifest_roundtrip_and_files_exist(self, tmp_path):
         m = dg.synth_dataset(tmp_path, 4, 2, image_size=16, seed=2)
         back = dg.DatasetManifest.load(tmp_path / "manifest.json")
-        assert back.config_hash == m.config_hash
+        assert back == m
         for im in back.images:
             arr = load_tensor(tmp_path / im.path)
             assert arr.shape == (16, 16)
@@ -130,7 +130,7 @@ class TestMakePairs:
             for lbl in range(4)
             for k in range(3)
         ]
-        manifest = dg.DatasetManifest(images=images, config_hash="fixed")
+        manifest = dg.DatasetManifest(images=images)
         pairs = dg.make_pairs(manifest, "test", 12, 54, seed=0)
         keys = sorted((p.index_a, p.index_b) for p in pairs)
         assert keys == [(i, j) for i in range(12) for j in range(i + 1, 12)]
@@ -147,7 +147,7 @@ class TestMakePairs:
             for lbl in range(8)
             for k in range(7)
         ]
-        manifest = dg.DatasetManifest(images=images, config_hash="fixed")
+        manifest = dg.DatasetManifest(images=images)
         pairs = dg.make_pairs(manifest, "test", 60, 300, seed=11)
         blob = json.dumps([[p.index_a, p.index_b, p.genuine] for p in pairs]).encode()
         assert len(pairs) == 360

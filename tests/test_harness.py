@@ -32,23 +32,37 @@ def tiny_cfg(tmp_path):
 
 
 class TestMadeUnder:
-    # the artifacts each recording command reads, besides the dataset
-    READS = {"degrade": (), "restore": ("degrade",), "pretrain": (), "train": ("degrade", "restore", "pretrain")}
+    # the artifacts each recording command reads
+    READS = {
+        "synth": (),
+        "degrade": ("synth",),
+        "restore": ("synth", "degrade"),
+        "pretrain": ("synth",),
+        "train": ("synth", "degrade", "restore", "pretrain"),
+    }
+    # nothing on the train side reads the test split: its identities are numbered after the train ones
+    TEST_SPLIT = {"dataset.n_test_identities", "dataset.test_per_identity"}
+    TRAIN_SIDE = ("pretrain", "train")
 
     def test_each_record_covers_the_records_of_what_its_command_reads(self):
         assert harness.MADE_UNDER.keys() == self.READS.keys()
         for cmd, reads in self.READS.items():
+            record = set(harness._made_under(DEFAULTS, cmd))
             for upstream in reads:
-                assert set(harness.MADE_UNDER[cmd]) >= set(harness.MADE_UNDER[upstream]), (cmd, upstream)
-            assert {"seed", "dataset"} <= set(harness.MADE_UNDER[cmd])
+                want = set(harness._made_under(DEFAULTS, upstream))
+                if cmd in self.TRAIN_SIDE:
+                    want -= self.TEST_SPLIT
+                assert record >= want, (cmd, upstream)
+            assert record.isdisjoint(self.TEST_SPLIT) == (cmd in self.TRAIN_SIDE), cmd
 
     @pytest.mark.parametrize("cmd", sorted(READS))
-    def test_record_lists_every_leaf_key_of_its_sections(self, cmd):
-        want = set()
-        for section in harness.MADE_UNDER[cmd]:
-            value = DEFAULTS[section]
-            want |= {f"{section}.{k}" for k in value} if isinstance(value, dict) else {section}
-        assert set(harness._made_under(DEFAULTS, cmd)) == want
+    def test_record_lists_every_leaf_key_of_its_entries(self, cmd):
+        want = {}
+        for entry in harness.MADE_UNDER[cmd]:
+            section, _, key = entry.partition(".")
+            value = DEFAULTS[section][key] if key else DEFAULTS[entry]
+            want.update({f"{entry}.{k}": v for k, v in value.items()} if isinstance(value, dict) else {entry: value})
+        assert harness._made_under(DEFAULTS, cmd) == want
 
 
 class TestDegradeProvenance:

@@ -39,6 +39,11 @@ class TestInitParams:
             ts.init_params(10_000, 64, {"bogus": 1})
         with pytest.raises(ContractError):
             ts.init_params(10_000, 64, {"pixel_pitch_m": 0.0})
+        with pytest.raises(ContractError, match="cn2 nonnegative"):
+            ts.init_params(10_000, 64, {"cn2": -1e-16})
+        # r0 follows from the length, wavelength and cn2; nothing sets it
+        with pytest.raises(ContractError, match="unknown turbulence overrides"):
+            ts.init_params(10_000, 64, {"fried_r0": 1.0})
 
 
 class TestTiltField:
