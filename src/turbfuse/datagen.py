@@ -36,39 +36,32 @@ class ManifestImage:
     path: str
     label: int
     split: str
-    seed: int
 
 
 @dataclass
 class DatasetManifest:
+    """The images of ``dataset/``, each with its label and split: what the
+    image sets' loaders and ``make_pairs`` read. The degraded and restored
+    sets hold the same paths and have no manifest of their own; the config
+    and generator a set was made under are in its ``made_under.json``."""
+
     images: list
-    generator_version: str = GENERATOR_VERSION
-    image_size: int = 64
 
     def split_images(self, split):
         return [im for im in self.images if im.split == split]
 
     def save(self, path):
-        payload = {
-            "images": [vars(im) for im in self.images],
-            "generator_version": self.generator_version,
-            "image_size": self.image_size,
-        }
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump({"images": [vars(im) for im in self.images]}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        return cls(
-            images=[ManifestImage(**im) for im in payload["images"]],
-            generator_version=payload["generator_version"],
-            image_size=payload["image_size"],
-        )
+        return cls(images=[ManifestImage(**im) for im in payload["images"]])
 
 
 @dataclass
@@ -172,7 +165,7 @@ def synth_dataset(
                 img = render(specs[ident], jitter_seed, image_size)
                 rel = f"images/id{ident:04d}_{k:03d}.fat"
                 save_tensor(out_dir / rel, img.astype(np.float32))
-                images.append(ManifestImage(path=rel, label=ident, split=split, seed=jitter_seed))
+                images.append(ManifestImage(path=rel, label=ident, split=split))
 
     latents = np.stack([s.latent for s in specs.values()])
     dists = np.linalg.norm(latents[:, None] - latents[None, :], axis=-1)
@@ -180,7 +173,7 @@ def synth_dataset(
     if dists.min() <= 0:
         raise ContractError("identity latents collided")
 
-    manifest = DatasetManifest(images=images, image_size=image_size)
+    manifest = DatasetManifest(images=images)
     manifest.save(out_dir / "manifest.json")
     return manifest
 

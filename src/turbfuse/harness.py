@@ -14,14 +14,19 @@ Artifacts live under the config's output_dir. Each kind a command reads
 has one loader, which raises DependencyError naming the command to (re-)run
 when the artifact is missing or does not fit the config:
 
-    dataset/  degraded/<tag>/  restored/<tag>/   _image_set
+    dataset/  degraded/<tag>/  restored/<tag>/   _image_sets
     pretrain/backbone/                           _load_backbone -> _load_state
     train/<strategy>/checkpoint/                 _load_train_result -> _load_state
 
-Each holds ``made_under.json``, the ``MADE_UNDER`` entries of the config it
-was made under, which ``_check_record`` compares with the run config's. A
-command deletes it before its first write into the artifact and swaps a
-whole one in after its last, so one that dies partway leaves an artifact
+``<tag>`` is the ``level_tag`` of the intensity. Only ``dataset/`` holds a
+``manifest.json``; the degraded and restored sets hold the same image paths.
+Each artifact holds ``made_under.json``: the generator version and the
+``MADE_UNDER`` entries of the config it was made under, which
+``_check_made_under`` compares with the run's, the one place an artifact is
+compared with the code and config. ``_image_sets`` checks the dataset's
+record before each set's. A command writes an artifact inside
+``_recording``, which deletes its record before the first write and swaps a
+whole one in after the last, so one that dies partway leaves an artifact
 that exits 3 before any of it is parsed. A checkpoint holds exactly the
 name -> Tensor dict ``optim.fit`` trains; a diverged run's last good one goes
 to ``diverged/``.
@@ -37,6 +42,7 @@ import dataclasses
 import json
 import os
 import subprocess
+from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -60,7 +66,9 @@ from .turbsim import degradation_psf, degrade, init_params
 
 
 def level_tag(meters):
-    return f"{int(round(meters / 1000))}k"
+    """Directory and report name of an intensity, one per distinct value:
+    ``20k`` at 20,000 m, ``20.4k`` at 20,400 m."""
+    return f"{Decimal(repr(float(meters))).scaleb(-3).normalize():f}k"
 
 
 def pct(x):
@@ -122,13 +130,14 @@ MADE_UNDER = {
 
 
 def _made_under(cfg, command):
-    """``MADE_UNDER[command]``'s entries of ``cfg`` as ``section.key -> value``.
+    """``MADE_UNDER[command]``'s entries of ``cfg`` as ``section.key -> value``,
+    plus the ``generator_version`` of the faces every artifact comes from.
     A trained state without fusion weights (any strategy but ``adapter_joint``,
     as ``init_state`` builds them) is no function of the ``fusion`` section."""
     entries = MADE_UNDER[command]
     if command == "train" and cfg["train"]["strategy"] != "adapter_joint":
         entries = tuple(e for e in entries if e != "fusion")
-    flat = {}
+    flat = {"generator_version": GENERATOR_VERSION}
     for e in entries:
         section, _, key = e.partition(".")
         value = cfg[section][key] if key else cfg[e]
@@ -136,14 +145,14 @@ def _made_under(cfg, command):
     return flat
 
 
-def _unrecord(dest):
-    """Drop ``dest``'s record before a command's first write into it: a run
-    that dies partway leaves an artifact that no loader accepts."""
+@contextlib.contextmanager
+def _recording(cfg, command, dest):
+    """Write ``dest`` without its record: drop it before the first write, so a
+    run that dies partway leaves an artifact that no loader accepts, and write
+    ``cfg``'s ``command`` record after the last, through a temporary name, so
+    it is whole or absent."""
     (dest / "made_under.json").unlink(missing_ok=True)
-
-
-def _record(cfg, command, dest):
-    """Write ``dest``'s record after its last file, through a temporary name: it is whole or absent."""
+    yield
     tmp = emit_report(_made_under(cfg, command), dest / "made_under.json.tmp")
     os.replace(tmp, dest / "made_under.json")
 
@@ -158,26 +167,20 @@ def _read_record(dest, command):
     return json.loads(path.read_text())
 
 
-def _check_record(cfg, record, command, name):
-    """Raise unless ``record`` is ``cfg``'s ``command`` record."""
-    _check_made_under(name, _made_under(cfg, command), record, command)
-
-
-def _image_set(cfg, out, kind):
-    """Manifest of one image set, plus a loader of its images by manifest
-    entries: the ``dataset``, or the ``degraded`` or ``restored`` set at the
-    config's intensity level. Its record must be the run config's and its
-    manifest's generator this one; a mismatch names the set's own command."""
-    name = kind if kind == "dataset" else f"{kind}/{level_tag(cfg['turbulence']['intensity_meters'])}"
-    root = _out(cfg, out) / name
-    made_by = {"dataset": "synth", "degraded": "degrade", "restored": "restore"}[kind]
-    _check_record(cfg, _read_record(root, made_by), made_by, name)
-    manifest = DatasetManifest.load(root / "manifest.json")
-    if manifest.generator_version != GENERATOR_VERSION:
-        raise DependencyError(
-            f"{name} was made by generator {manifest.generator_version}; run the `{made_by}` command again"
-        )
-    return manifest, partial(load_images, root)
+def _image_sets(cfg, out, *kinds):
+    """The dataset's manifest, plus one loader of images by manifest entries
+    per kind: the ``dataset``, or the ``degraded`` or ``restored`` set at the
+    config's intensity. The dataset's record is checked first, then each
+    set's, all before the manifest is parsed; a mismatch names the set's own
+    command."""
+    roots = {}
+    for kind in dict.fromkeys(("dataset", *kinds)):
+        name = kind if kind == "dataset" else f"{kind}/{level_tag(cfg['turbulence']['intensity_meters'])}"
+        roots[kind] = _out(cfg, out) / name
+        made_by = {"dataset": "synth", "degraded": "degrade", "restored": "restore"}[kind]
+        _check_made_under(name, _made_under(cfg, made_by), _read_record(roots[kind], made_by), made_by)
+    manifest = DatasetManifest.load(roots["dataset"] / "manifest.json")
+    return (manifest, *(partial(load_images, roots[kind]) for kind in kinds))
 
 
 def _load_state(cfg, dest, tensors, command):
@@ -187,7 +190,7 @@ def _load_state(cfg, dest, tensors, command):
     record = _read_record(dest, command)
     arrays = load_bundle(dest)
     _check_made_under(dest, {k: t.shape for k, t in tensors.items()}, {k: a.shape for k, a in arrays.items()}, command)
-    _check_record(cfg, record, command, dest)
+    _check_made_under(dest, _made_under(cfg, command), record, command)
     for k, t in tensors.items():
         t.data[...] = arrays[k]
 
@@ -251,24 +254,19 @@ def restore_stack(degraded, clean, params, rcfg: RestoreConfig, cfg_seed, seed_s
 def cmd_synth(cfg, out_dir=None):
     dest, d = _out(cfg, out_dir) / "dataset", cfg["dataset"]
     check_dataset(d["n_identities"], d["per_identity"], d["image_size"])  # a rejected config keeps the old record
-    _unrecord(dest)
-    manifest = synth_dataset(dest, **d, seed=cfg["seed"])
-    _record(cfg, "synth", dest)
+    with _recording(cfg, "synth", dest):
+        manifest = synth_dataset(dest, **d, seed=cfg["seed"])
     return {"command": "synth", "images": len(manifest.images), "config_hash": config_hash(cfg)}
 
 
 def cmd_degrade(cfg, out_dir=None):
     out = _out(cfg, out_dir)
-    manifest, clean = _image_set(cfg, out_dir, "dataset")
+    manifest, clean = _image_sets(cfg, out_dir, "dataset")
     params = _turb_params(cfg)
     tag = level_tag(params.intensity_meters)
     images, _ = clean(manifest.images)
     degraded = degrade_stack(images, params, cfg["seed"])
     dest = out / "degraded" / tag
-    _unrecord(dest)
-    for entry, img in zip(manifest.images, degraded):
-        save_tensor(dest / entry.path, img)
-    manifest.save(dest / "manifest.json")
     prov = {
         "level": tag,
         "intensity_meters": params.intensity_meters,
@@ -276,8 +274,10 @@ def cmd_degrade(cfg, out_dir=None):
         "d_over_r0": params.d_over_r0,
         "tilt_rms_px": params.tilt_rms_px,
     }
-    emit_report(prov, dest / "provenance.json")
-    _record(cfg, "degrade", dest)
+    with _recording(cfg, "degrade", dest):
+        for entry, img in zip(manifest.images, degraded):
+            save_tensor(dest / entry.path, img)
+        emit_report(prov, dest / "provenance.json")
     return {"command": "degrade", "level": tag, "images": len(manifest.images)}
 
 
@@ -286,19 +286,16 @@ def cmd_restore(cfg, out_dir=None):
     if rcfg.mode == "wiener":
         _check_wiener_psf(cfg)
     out = _out(cfg, out_dir)
-    manifest, load_clean = _image_set(cfg, out_dir, "dataset")
-    _, load_degraded = _image_set(cfg, out_dir, "degraded")
+    manifest, load_clean, load_degraded = _image_sets(cfg, out_dir, "dataset", "degraded")
     params = _turb_params(cfg)
     tag = level_tag(params.intensity_meters)
     clean, _ = load_clean(manifest.images)
     degraded, _ = load_degraded(manifest.images)
     restored = restore_stack(degraded, clean, params, rcfg, cfg["seed"])
     dest = out / "restored" / tag
-    _unrecord(dest)
-    for entry, img in zip(manifest.images, restored):
-        save_tensor(dest / entry.path, img)
-    manifest.save(dest / "manifest.json")
-    _record(cfg, "restore", dest)
+    with _recording(cfg, "restore", dest):
+        for entry, img in zip(manifest.images, restored):
+            save_tensor(dest / entry.path, img)
     return {"command": "restore", "level": tag, "images": len(manifest.images)}
 
 
@@ -329,14 +326,13 @@ def _keeping_diverged(dest):
 
 def cmd_pretrain(cfg, out_dir=None):
     dest = _out(cfg, out_dir) / "pretrain"
-    manifest, clean = _image_set(cfg, out_dir, "dataset")
+    manifest, clean = _image_sets(cfg, out_dir, "dataset")
     images, labels = clean(manifest.split_images("train"))
     fit_args = {k: cfg["backbone"][k] for k in ("epochs", "batch_size", "lr", "warmup_steps")}
     with _keeping_diverged(dest):
         result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), seed=cfg["seed"], **fit_args)
-    _unrecord(dest / "backbone")
-    save_bundle(dest / "backbone", result.params.tensors())
-    _record(cfg, "pretrain", dest / "backbone")
+    with _recording(cfg, "pretrain", dest / "backbone"):
+        save_bundle(dest / "backbone", result.params.tensors())
     first, last = result.loss_history[0], result.loss_history[-1]
     drop = 1.0 - last / max(first, 1e-12)
     emit_report({"loss_first": first, "loss_last": last, "loss_drop": drop}, dest / "history.json")
@@ -361,8 +357,7 @@ def _train_cfg(cfg, **overrides):
 def cmd_train(cfg, out_dir=None):
     tcfg = _train_cfg(cfg)
     dest = _out(cfg, out_dir) / "train" / tcfg.strategy
-    manifest, load_degraded = _image_set(cfg, out_dir, "degraded")
-    _, load_restored = _image_set(cfg, out_dir, "restored")
+    manifest, load_degraded, load_restored = _image_sets(cfg, out_dir, "degraded", "restored")
     frozen = _load_backbone(cfg, out_dir)
     entries = manifest.split_images("train")
     lq, labels = load_degraded(entries)
@@ -375,9 +370,8 @@ def cmd_train(cfg, out_dir=None):
     dest.mkdir(parents=True, exist_ok=True)
     trained = result.tensors()
     if trained:
-        _unrecord(dest / "checkpoint")
-        save_bundle(dest / "checkpoint", trained)
-        _record(cfg, "train", dest / "checkpoint")
+        with _recording(cfg, "train", dest / "checkpoint"):
+            save_bundle(dest / "checkpoint", trained)
     (dest / "history.jsonl").write_text(result.history.to_jsonl() + "\n", encoding="utf-8")
     return {
         "command": "train",
@@ -467,9 +461,7 @@ def evaluate_strategy(cfg, strategy, pairs, frozen, result, gallery_embs, lq_tes
 def cmd_eval(cfg, out_dir=None, fmt="json"):
     out = _out(cfg, out_dir)
     tag = level_tag(cfg["turbulence"]["intensity_meters"])
-    manifest, load_clean = _image_set(cfg, out_dir, "dataset")
-    _, load_degraded = _image_set(cfg, out_dir, "degraded")
-    _, load_restored = _image_set(cfg, out_dir, "restored")
+    manifest, load_clean, load_degraded, load_restored = _image_sets(cfg, out_dir, "dataset", "degraded", "restored")
     entries = manifest.split_images("test")
     clean_test, labels_test = load_clean(entries)
     lq_test, _ = load_degraded(entries)
@@ -595,7 +587,7 @@ class _AblateInputs:
     def __init__(self, cfg, out_dir, frozen):
         self.cfg = cfg
         self.frozen = frozen
-        manifest, load_clean = _image_set(cfg, out_dir, "dataset")
+        manifest, load_clean = _image_sets(cfg, out_dir, "dataset")
         self.pairs = verification_pairs(cfg, manifest)
         self.clean, self.labels = {}, {}
         for split in ("train", "test"):

@@ -73,6 +73,8 @@ def test_pipeline_reruns_byte_identical(config_path, tmp_path, capsys):
         "restored/20k/made_under.json",
         "train/adapter_joint/checkpoint/made_under.json",
     ]
+    # the image sets hold the dataset's paths; the dataset's manifest is the only one
+    assert [rel for rel in files if Path(rel).name == "manifest.json"] == ["dataset/manifest.json"]
 
 
 def test_eval_on_empty_directory_exits_3(config_path, tmp_path, capsys):
@@ -116,7 +118,7 @@ def test_eval_of_a_checkpoint_without_its_fusion_config_exits_3(trained, tmp_pat
         ("restore", "restore.fidelity_w=0.9", harness, 5, ("dataset", "degraded", "restored", "pretrain"), "train"),
         ("pretrain", "backbone.lr=0.5", tensorio, 5, ("dataset", "degraded", "restored", "pretrain"), "train"),
         ("train", "train.lr_base=0.01", tensorio, 5, ("dataset", "degraded", "restored", "pretrain", "train"), "eval"),
-        # dies inside a JSON write: the degraded manifest, the bundle index, and the record after it
+        # dies inside a JSON write: the degraded provenance, the bundle index, and the record after it
         ("degrade", "turbulence.cn2=1e-13", json, 0, ("dataset", "degraded"), "restore"),
         ("pretrain", "backbone.lr=0.5", json, 0, ("dataset", "degraded", "restored", "pretrain"), "train"),
         ("pretrain", "backbone.lr=0.5", json, 1, ("dataset", "degraded", "restored", "pretrain"), "eval"),
@@ -210,18 +212,61 @@ def test_degraded_set_from_another_dataset_exits_3(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "kind, made_by", [("dataset", "synth"), ("degraded/20k", "degrade"), ("restored/20k", "restore")]
+    "kind, made_by",
+    [
+        ("dataset", "synth"),
+        ("degraded/20k", "degrade"),
+        ("restored/20k", "restore"),
+        ("pretrain/backbone", "pretrain"),
+        ("train/adapter_joint/checkpoint", "train"),
+    ],
 )
 def test_a_set_from_another_generator_version_exits_3(trained, tmp_path, kind, made_by, capsys):
+    # every artifact descends from the generator's faces, so every record names the generator version
     path, out = trained
     for sub in ("dataset", "degraded", "restored", "pretrain", "train"):
         shutil.copytree(out / sub, tmp_path / sub)
-    manifest = DatasetManifest.load(tmp_path / kind / "manifest.json")
-    manifest.generator_version = "g0"
-    manifest.save(tmp_path / kind / "manifest.json")
+    record_path = tmp_path / kind / "made_under.json"
+    record = json.loads(record_path.read_text())
+    assert record["generator_version"] == datagen.GENERATOR_VERSION
+    record_path.write_text(json.dumps({**record, "generator_version": "g0"}))
     assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert f"{kind} was made by generator g0" in err and f"run the `{made_by}` command again" in err
+    assert f"{kind} was made under another config (generator_version differ)" in err
+    assert f"run the `{made_by}` command again" in err
+
+
+def test_eval_on_a_dataset_of_the_older_layout_exits_3(trained, tmp_path, capsys):
+    # the older manifest held the generator, the image size and per-image seeds, and the record no generator:
+    # the record is read first, so the manifest's extra fields are never parsed
+    path, out = trained
+    for sub in ("dataset", "degraded", "restored", "pretrain", "train"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    manifest_path, record_path = tmp_path / "dataset" / "manifest.json", tmp_path / "dataset" / "made_under.json"
+    manifest = json.loads(manifest_path.read_text())
+    for k, entry in enumerate(manifest["images"]):
+        entry["seed"] = k
+    manifest.update(generator_version=datagen.GENERATOR_VERSION, image_size=16)
+    manifest_path.write_text(json.dumps(manifest))
+    record = json.loads(record_path.read_text())
+    del record["generator_version"]
+    record_path.write_text(json.dumps(record))
+    assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "dataset was made under another config (generator_version differ)" in err
+    assert "run the `synth` command again" in err
+
+
+def test_degrade_at_a_nearby_intensity_leaves_the_other_set_alone(trained, tmp_path, capsys):
+    # 20,400 m has its own directory, not the 20,000 m set's
+    path, out = trained
+    for sub in ("dataset", "degraded"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    argv = ["degrade", "--config", str(path), "--out", str(tmp_path), "--set", "turbulence.intensity_meters=20400"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["level"] == "20.4k"
+    assert sorted(p.name for p in (tmp_path / "degraded").iterdir()) == ["20.4k", "20k"]
+    assert tree(tmp_path / "degraded" / "20k") == tree(out / "degraded" / "20k")
 
 
 def test_a_larger_test_split_reuses_the_backbone_and_checkpoint(trained, tmp_path, capsys):

@@ -68,6 +68,10 @@ class TestSynthDataset:
         m = dg.synth_dataset(tmp_path, 4, 2, image_size=16, seed=2)
         back = dg.DatasetManifest.load(tmp_path / "manifest.json")
         assert back == m
+        # only what a reader reads: the config and generator are in the dataset's made_under.json
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(payload) == {"images"}
+        assert all(set(entry) == {"label", "path", "split"} for entry in payload["images"])
         for im in back.images:
             arr = load_tensor(tmp_path / im.path)
             assert arr.shape == (16, 16)
@@ -126,7 +130,7 @@ class TestMakePairs:
 
     def test_every_pair_of_a_split_can_be_drawn(self):
         images = [
-            dg.ManifestImage(path=f"images/id{lbl:04d}_{k:03d}.fat", label=lbl, split="test", seed=k)
+            dg.ManifestImage(path=f"images/id{lbl:04d}_{k:03d}.fat", label=lbl, split="test")
             for lbl in range(4)
             for k in range(3)
         ]
@@ -143,7 +147,7 @@ class TestMakePairs:
     def test_pair_stream_pinned(self):
         # any change to the RNG draws behind the pairs changes this digest
         images = [
-            dg.ManifestImage(path=f"images/id{lbl:04d}_{k:03d}.fat", label=lbl, split="train" if lbl < 2 else "test", seed=k)
+            dg.ManifestImage(path=f"images/id{lbl:04d}_{k:03d}.fat", label=lbl, split="train" if lbl < 2 else "test")
             for lbl in range(8)
             for k in range(7)
         ]

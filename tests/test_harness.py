@@ -7,6 +7,7 @@ import pytest
 
 from turbfuse import harness
 from turbfuse.config import DEFAULTS, load_config
+from turbfuse.datagen import GENERATOR_VERSION
 from turbfuse.errors import TrainingError
 from turbfuse.fusion import FusionConfig
 from turbfuse.harness import _turb_params, cmd_degrade, cmd_pretrain, cmd_restore, cmd_synth, cmd_train
@@ -57,12 +58,25 @@ class TestMadeUnder:
 
     @pytest.mark.parametrize("cmd", sorted(READS))
     def test_record_lists_every_leaf_key_of_its_entries(self, cmd):
-        want = {}
+        want = {"generator_version": GENERATOR_VERSION}
         for entry in harness.MADE_UNDER[cmd]:
             section, _, key = entry.partition(".")
             value = DEFAULTS[section][key] if key else DEFAULTS[entry]
             want.update({f"{entry}.{k}": v for k, v in value.items()} if isinstance(value, dict) else {entry: value})
         assert harness._made_under(DEFAULTS, cmd) == want
+
+
+class TestLevelTag:
+    @pytest.mark.parametrize(
+        "meters, tag",
+        [(10000.0, "10k"), (20000.0, "20k"), (20000, "20k"), (40000.0, "40k"), (20400.0, "20.4k"), (24500, "24.5k"), (400.0, "0.4k")],
+    )
+    def test_tag_of_each_intensity(self, meters, tag):
+        assert harness.level_tag(meters) == tag
+
+    def test_every_distinct_intensity_gets_its_own_tag(self):
+        meters = [20000.0, 20400.0, 24000.0, 24500.0, 400.0, 123456.7, 123456.8, float(np.nextafter(20000.0, np.inf))]
+        assert len({harness.level_tag(m) for m in meters}) == len(meters)
 
 
 class TestDegradeProvenance:
@@ -128,8 +142,7 @@ class TestCheckpointRoundTrip:
         loaded = harness._load_train_result(tiny_cfg, None, strategy, frozen)
         assert loaded.tensors().keys() == trained[0].tensors().keys()
 
-        manifest, load_degraded = harness._image_set(tiny_cfg, None, "degraded")
-        _, load_restored = harness._image_set(tiny_cfg, None, "restored")
+        manifest, load_degraded, load_restored = harness._image_sets(tiny_cfg, None, "degraded", "restored")
         entries = manifest.split_images("test")
         lq, _ = load_degraded(entries)
         restored, _ = load_restored(entries)
@@ -146,9 +159,9 @@ class TestEvaluateStrategy:
         for cmd in (cmd_synth, cmd_degrade, cmd_restore, cmd_pretrain):
             cmd(tiny_cfg)
         frozen = harness._load_backbone(tiny_cfg, None)
-        manifest, load_clean = harness._image_set(tiny_cfg, None, "dataset")
-        _, load_degraded = harness._image_set(tiny_cfg, None, "degraded")
-        _, load_restored = harness._image_set(tiny_cfg, None, "restored")
+        manifest, load_clean, load_degraded, load_restored = harness._image_sets(
+            tiny_cfg, None, "dataset", "degraded", "restored"
+        )
         train, test = manifest.split_images("train"), manifest.split_images("test")
         deep_cfg = json.loads(json.dumps(tiny_cfg))
         deep_cfg["fusion"]["cascade_depth"] = 3
