@@ -126,16 +126,13 @@ class PretrainResult:
     loss_history: list
 
 
-def pretrain(
-    images, labels, cfg: BackboneConfig, margin: MarginParams, *, epochs=5, batch_size=32, lr=0.02, warmup_steps=50, seed=0
-):
+def pretrain(images, labels, cfg: BackboneConfig, margin: MarginParams, fit_cfg: FitConfig, *, seed=0):
     """Train a fresh backbone + classifier head on clean images.
 
     images: (N, H, W) float array in [0, 1]; labels: int array. Runs
-    ``optim.fit`` with the ``FitConfig`` defaults for momentum, weight
-    decay and decay power. Raises TrainingError on divergence (NaN loss).
+    ``optim.fit`` under ``fit_cfg``. Raises TrainingError on divergence
+    (NaN loss).
     """
-    fit_cfg = FitConfig(batch_size=batch_size, epochs=epochs, lr_base=lr, warmup_steps=warmup_steps)
     images = np.asarray(images)
     labels = np.asarray(labels)
     n = images.shape[0]

@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from .errors import ConfigError
-from .turbsim import DEFAULT_APERTURE, DEFAULT_CN2, DEFAULT_WAVELENGTH
+from .turbsim import DEFAULT_APERTURE, DEFAULT_CN2, DEFAULT_WAVELENGTH, INTENSITY_LEVELS
 
 DEFAULTS = {
     "seed": 0,
@@ -89,36 +89,45 @@ DEFAULTS = {
         "attention_order": ["cross_first", "self_first"],
         "role_variants": ["a", "b", "c", "d"],
         "restore_ws": [0.0, 0.5, 1.0],
-        "intensity_levels": [10000.0, 20000.0, 30000.0, 40000.0],
+        "intensity_levels": list(INTENSITY_LEVELS),
         "grid_epochs": 1,
     },
 }
 
 
-def _merge_checked(defaults, override, path=""):
+def _check_value(base, value, kpath):
+    """Reject a value whose type differs from the default's; integers pass as numbers."""
+    if isinstance(base, bool) != isinstance(value, bool) and isinstance(base, bool):
+        raise ConfigError(f"{kpath}: expected a boolean")
+    if isinstance(base, int) and not isinstance(base, bool):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{kpath}: expected an integer")
+    elif isinstance(base, float):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{kpath}: expected a number")
+    elif isinstance(base, str) and not isinstance(value, str):
+        raise ConfigError(f"{kpath}: expected a string")
+    elif isinstance(base, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{kpath}: expected a list")
+        for i, item in enumerate(value):
+            _check_value(base[0], item, f"{kpath}[{i}]")
+
+
+def _merge_checked(current, override, schema, path=""):
+    """Overlay ``override`` on ``current``, checking each value against ``schema`` (the defaults)."""
     if not isinstance(override, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    merged = copy.deepcopy(defaults)
+    merged = copy.deepcopy(current)
     for key, value in override.items():
         kpath = f"{path}.{key}" if path else key
-        if key not in defaults:
+        if key not in schema:
             raise ConfigError(f"unknown config key: {kpath}")
-        base = defaults[key]
+        base = schema[key]
         if isinstance(base, dict):
-            merged[key] = _merge_checked(base, value, kpath)
+            merged[key] = _merge_checked(current[key], value, base, kpath)
         else:
-            if isinstance(base, bool) != isinstance(value, bool) and isinstance(base, bool):
-                raise ConfigError(f"{kpath}: expected a boolean")
-            if isinstance(base, int) and not isinstance(base, bool):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(f"{kpath}: expected an integer")
-            elif isinstance(base, float):
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ConfigError(f"{kpath}: expected a number")
-            elif isinstance(base, str) and not isinstance(value, str):
-                raise ConfigError(f"{kpath}: expected a string")
-            elif isinstance(base, list) and not isinstance(value, list):
-                raise ConfigError(f"{kpath}: expected a list")
+            _check_value(base, value, kpath)
             merged[key] = copy.deepcopy(value)
     return merged
 
@@ -138,7 +147,7 @@ def load_config(path=None, sets=()):
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    cfg = _merge_checked(DEFAULTS, override)
+    cfg = _merge_checked(DEFAULTS, override, DEFAULTS)
 
     for item in sets:
         if "=" not in item:
@@ -155,7 +164,7 @@ def load_config(path=None, sets=()):
             leaf[part] = {}
             leaf = leaf[part]
         leaf[parts[-1]] = value
-        cfg = _merge_checked(cfg, node)
+        cfg = _merge_checked(cfg, node, DEFAULTS)
     return cfg
 
 

@@ -57,7 +57,7 @@ from .errors import ConfigError, ContractError, DependencyError, EvaluationError
 from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .metrics import ScoreSet, VerificationReport, tar_at_far, top_k_hits, verification_accuracy
-from .optim import finite_diff_check
+from .optim import FitConfig, finite_diff_check
 from .restore import RestoreConfig, restore
 from .tensor import Tensor
 from .tensorio import load_bundle, save_bundle, save_tensor
@@ -328,9 +328,10 @@ def cmd_pretrain(cfg, out_dir=None):
     dest = _out(cfg, out_dir) / "pretrain"
     manifest, clean = _image_sets(cfg, out_dir, "dataset")
     images, labels = clean(manifest.split_images("train"))
-    fit_args = {k: cfg["backbone"][k] for k in ("epochs", "batch_size", "lr", "warmup_steps")}
+    b = cfg["backbone"]
+    fit_cfg = FitConfig(batch_size=b["batch_size"], epochs=b["epochs"], lr_base=b["lr"], warmup_steps=b["warmup_steps"])
     with _keeping_diverged(dest):
-        result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), seed=cfg["seed"], **fit_args)
+        result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), fit_cfg, seed=cfg["seed"])
     with _recording(cfg, "pretrain", dest / "backbone"):
         save_bundle(dest / "backbone", result.params.tensors())
     first, last = result.loss_history[0], result.loss_history[-1]

@@ -5,7 +5,7 @@ from turbfuse import tensor as T
 from turbfuse.backbone import BackboneConfig, BackboneParams, embed, pretrain
 from turbfuse.errors import ConfigError
 from turbfuse.margin import MarginParams
-from turbfuse.optim import finite_diff_check
+from turbfuse.optim import FitConfig, finite_diff_check
 from turbfuse.tensor import Tensor
 
 
@@ -45,7 +45,7 @@ class TestEmbed:
         mask = Tensor(rng.standard_normal((2, 4)), dtype=np.float64)
 
         def f(params):
-            return T.mul(embed(imgs, p), mask).sum()
+            return T.tensor_sum(T.mul(embed(imgs, p), mask))
 
         err = finite_diff_check(f, list(p.tensors().values()), eps=1e-5, samples_per_tensor=6, seed=0)
         assert err < 1e-6
@@ -100,9 +100,7 @@ class TestPretrain:
             labels,
             tiny_cfg(),
             MarginParams(1.0, 0.5, 0.0, 8.0),
-            epochs=10,
-            batch_size=8,
-            lr=0.05,
+            FitConfig(epochs=10, batch_size=8, lr_base=0.05),
             seed=0,
         )
         first = np.mean(res.loss_history[:5])
@@ -112,13 +110,13 @@ class TestPretrain:
     def test_requires_two_identities(self):
         imgs = np.random.default_rng(7).random((4, 16, 16)).astype(np.float32)
         with pytest.raises(ConfigError):
-            pretrain(imgs, np.zeros(4, dtype=int), tiny_cfg(), MarginParams())
+            pretrain(imgs, np.zeros(4, dtype=int), tiny_cfg(), MarginParams(), FitConfig())
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         images = rng.random((16, 16, 16)).astype(np.float32)
         labels = np.arange(16) % 4
-        a = pretrain(images, labels, tiny_cfg(), MarginParams(s=8.0), epochs=1, batch_size=8, seed=3)
-        b = pretrain(images, labels, tiny_cfg(), MarginParams(s=8.0), epochs=1, batch_size=8, seed=3)
+        a = pretrain(images, labels, tiny_cfg(), MarginParams(s=8.0), FitConfig(epochs=1, batch_size=8), seed=3)
+        b = pretrain(images, labels, tiny_cfg(), MarginParams(s=8.0), FitConfig(epochs=1, batch_size=8), seed=3)
         assert a.params.state_bytes() == b.params.state_bytes()
         assert a.loss_history == b.loss_history

@@ -303,7 +303,7 @@ class TestFuse:
         f_f = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
         f_a = Tensor(rng.standard_normal((4, 8)), requires_grad=True, dtype=np.float64)
         mask = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
-        T.backward(T.mul(fuse(f_f, f_a, params), mask).mean())
+        T.backward(T.tensor_mean(T.mul(fuse(f_f, f_a, params), mask)))
         dead = [k for k, t in params.tensors().items() if t.grad is None or not np.any(t.grad)]
         assert dead == []
         hq_live = f_a.grad is not None and bool(np.any(f_a.grad))
@@ -400,7 +400,7 @@ class TestFuse:
         mask = Tensor(rng.standard_normal((4, 16)), dtype=np.float32)
 
         def f(ps):
-            return T.mul(fuse(f_f, f_a, params), mask).mean()
+            return T.tensor_mean(T.mul(fuse(f_f, f_a, params), mask))
 
         err = finite_diff_check(f, plist, eps=1e-2, samples_per_tensor=4, seed=0)
         assert err < 1e-3
@@ -417,7 +417,7 @@ class TestFuse:
                 mask = Tensor(rng.standard_normal((2, 8)), dtype=np.float64)
 
                 def f(ps):
-                    return T.mul(fuse(f_f, f_a, params), mask).mean()
+                    return T.tensor_mean(T.mul(fuse(f_f, f_a, params), mask))
 
                 err = finite_diff_check(f, plist, eps=1e-5, samples_per_tensor=3, seed=1)
                 assert err < 1e-6, f"variant {variant} order {order}: {err}"

@@ -66,7 +66,7 @@ class TestFiniteDiffCheck:
 
         def f(params):
             (p,) = params
-            return T.mul(p, p).sum()
+            return T.tensor_sum(T.mul(p, p))
 
         err = finite_diff_check(f, [x], eps=1e-5)
         assert err < 1e-8
@@ -81,7 +81,7 @@ class TestFiniteDiffCheck:
         def f(params):
             (z,) = params
             p = T.softmax(z, axis=1)
-            return T.neg(T.mul(T.log(p), mask).sum().mean())
+            return T.mul(T.tensor_sum(T.mul(T.log(p), mask)), -1.0)
 
         err = finite_diff_check(f, [logits], eps=1e-6, samples_per_tensor=24)
         assert err < 1e-6
@@ -89,14 +89,14 @@ class TestFiniteDiffCheck:
     def test_eps_range_enforced(self):
         x = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
         with pytest.raises(ContractError):
-            finite_diff_check(lambda ps: ps[0].sum(), [x], eps=1.0)
+            finite_diff_check(lambda ps: T.tensor_sum(ps[0]), [x], eps=1.0)
 
     def test_non_finite_rejected(self):
         x = Tensor(np.array([0.0]), requires_grad=True, dtype=np.float64)
 
         def f(params):
             (p,) = params
-            return T.log(p).sum()
+            return T.tensor_sum(T.log(p))
 
         with pytest.raises(EvaluationError):
             finite_diff_check(f, [x], eps=1e-5)

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,33 +111,33 @@ class TestLayerNorm:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        T.backward(x.sum())
+        T.backward(T.tensor_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_sum(self):
         rng = np.random.default_rng(4)
         x = rand_t(rng, 5)
-        T.backward(T.mul(x, x).sum())
+        T.backward(T.tensor_sum(T.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
 
     def test_accumulates_across_calls(self):
         x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
-        T.backward(x.sum())
-        T.backward(x.sum())
+        T.backward(T.tensor_sum(x))
+        T.backward(T.tensor_sum(x))
         np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
         x.zero_grad()
-        T.backward(x.sum())
+        T.backward(T.tensor_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones(3))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ContractError):
-            T.backward(x + x)
+            T.backward(T.add(x, x))
 
     def test_no_grad_blocks_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
-            y = (x * x).sum()
+            y = T.tensor_sum(T.mul(x, x))
         assert not y.requires_grad
 
 
@@ -156,17 +159,16 @@ def _numeric_grad(f, x, eps=1e-6):
 
 # Each entry: (name, builder(x) -> scalar Tensor, input shape)
 _UNARY_CASES = [
-    ("relu", lambda x: T.relu(x).sum(), (4, 3)),
-    ("exp", lambda x: T.exp(x).sum(), (5,)),
-    ("log", lambda x: T.log(T.add(T.mul(x, x), 1.5)).sum(), (6,)),
-    ("sqrt", lambda x: T.sqrt(T.add(T.mul(x, x), 1.0)).sum(), (4,)),
-    ("cos", lambda x: T.cos(x).sum(), (7,)),
-    ("arccos", lambda x: T.arccos(T.clip(x, -0.9, 0.9)).sum(), (6,)),
-    ("power", lambda x: T.power(T.add(T.mul(x, x), 0.5), -0.5).sum(), (5,)),
-    ("mean", lambda x: T.mul(x.mean(axis=0), Tensor(np.arange(3.0), dtype=np.float64)).sum(), (4, 3)),
-    ("reshape", lambda x: T.mul(x.reshape(8), Tensor(np.arange(8.0), dtype=np.float64)).sum(), (2, 4)),
-    ("transpose", lambda x: T.mul(x.transpose((1, 0)), Tensor(np.arange(6.0).reshape(3, 2), dtype=np.float64)).sum(), (2, 3)),
-    ("softmax", lambda x: T.mul(T.softmax(x, axis=1), Tensor(np.arange(8.0).reshape(2, 4), dtype=np.float64)).sum(), (2, 4)),
+    ("relu", lambda x: T.tensor_sum(T.relu(x)), (4, 3)),
+    ("exp", lambda x: T.tensor_sum(T.exp(x)), (5,)),
+    ("log", lambda x: T.tensor_sum(T.log(T.add(T.mul(x, x), 1.5))), (6,)),
+    ("cos", lambda x: T.tensor_sum(T.cos(x)), (7,)),
+    ("arccos", lambda x: T.tensor_sum(T.arccos(T.clip(x, -0.9, 0.9))), (6,)),
+    ("power", lambda x: T.tensor_sum(T.power(T.add(T.mul(x, x), 0.5), -0.5)), (5,)),
+    ("mean", lambda x: T.tensor_sum(T.mul(T.tensor_mean(x, axis=0), Tensor(np.arange(3.0), dtype=np.float64))), (4, 3)),
+    ("reshape", lambda x: T.tensor_sum(T.mul(T.reshape(x, (8,)), Tensor(np.arange(8.0), dtype=np.float64))), (2, 4)),
+    ("transpose", lambda x: T.tensor_sum(T.mul(T.transpose(x, (1, 0)), Tensor(np.arange(6.0).reshape(3, 2), dtype=np.float64))), (2, 3)),
+    ("softmax", lambda x: T.tensor_sum(T.mul(T.softmax(x, axis=1), Tensor(np.arange(8.0).reshape(2, 4), dtype=np.float64))), (2, 4)),
 ]
 
 
@@ -193,7 +195,7 @@ def test_matmul_gradient_finite_differences():
     w = rng.standard_normal((3, 2))
 
     def loss():
-        return T.mul(T.matmul(a, b), Tensor(w, dtype=np.float64)).sum()
+        return T.tensor_sum(T.mul(T.matmul(a, b), Tensor(w, dtype=np.float64)))
 
     T.backward(loss())
     for t in (a, b):
@@ -212,7 +214,7 @@ def test_batched_matmul_gradient():
     w = rng.standard_normal((2, 3, 3))
 
     def loss():
-        return T.mul(T.matmul(a, b), Tensor(w, dtype=np.float64)).sum()
+        return T.tensor_sum(T.mul(T.matmul(a, b), Tensor(w, dtype=np.float64)))
 
     T.backward(loss())
     for t in (a, b):
@@ -232,7 +234,7 @@ def test_layer_norm_gradient():
     w = rng.standard_normal((3, 5))
 
     def loss():
-        return T.mul(T.layer_norm(x, gamma, beta, eps=1e-6), Tensor(w, dtype=np.float64)).sum()
+        return T.tensor_sum(T.mul(T.layer_norm(x, gamma, beta, eps=1e-6), Tensor(w, dtype=np.float64)))
 
     T.backward(loss())
     for t in (x, gamma, beta):
@@ -265,7 +267,7 @@ def test_conv2d_gradient_and_forward():
     mask = rng.standard_normal(out.shape)
 
     def loss():
-        return T.mul(T.conv2d(x, w, b, padding=1), Tensor(mask, dtype=np.float64)).sum()
+        return T.tensor_sum(T.mul(T.conv2d(x, w, b, padding=1), Tensor(mask, dtype=np.float64)))
 
     T.backward(loss())
     for t in (x, w, b):
@@ -293,7 +295,7 @@ def test_conv2d_weight_gradient_matches_per_tap_sum(cin, cout, size):
     for dtype, tol in ((np.float64, 1e-12), (np.float32, 2e-6)):
         w = Tensor(rng.standard_normal((cout, cin, 3, 3)), requires_grad=True, dtype=dtype)
         out = T.conv2d(Tensor(xd, dtype=dtype), w, padding=1)
-        T.backward(T.mul(out, Tensor(g, dtype=dtype)).sum())
+        T.backward(T.tensor_sum(T.mul(out, Tensor(g, dtype=dtype))))
         assert w.grad.dtype == dtype
         assert np.max(np.abs(w.grad - ref)) <= tol * scale
 
@@ -309,7 +311,7 @@ def test_avg_pool2x2():
     np.testing.assert_allclose(out.data[0, 0], expect, rtol=1e-12)
 
     def loss():
-        return T.mul(T.avg_pool2x2(x), T.avg_pool2x2(x)).sum()
+        return T.tensor_sum(T.mul(T.avg_pool2x2(x), T.avg_pool2x2(x)))
 
     T.backward(loss())
 
@@ -339,7 +341,7 @@ def test_avg_pool2x2_bitwise_reshape_mean(shape, dtype):
     g = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2)).astype(dtype)
     fwd, bwd = _pool_reference(x.data, g)
     out = T.avg_pool2x2(x)
-    T.backward(T.mul(out, Tensor(g)).sum())
+    T.backward(T.tensor_sum(T.mul(out, Tensor(g))))
     assert out.data.dtype == dtype and x.grad.dtype == dtype
     assert out.data.tobytes() == fwd.tobytes()
     assert x.grad.tobytes() == np.ascontiguousarray(bwd).tobytes()
@@ -352,7 +354,7 @@ def test_broadcast_add_mul_gradients():
     c = rand_t(rng, 3, 1)
 
     def loss():
-        return T.mul(T.add(a, b), c).sum()
+        return T.tensor_sum(T.mul(T.add(a, b), c))
 
     T.backward(loss())
     for t in (a, b, c):
@@ -371,7 +373,7 @@ def test_determinism_bitwise():
 
     def run():
         a = Tensor(x, requires_grad=True)
-        out = T.softmax(T.matmul(T.relu(a), Tensor(w)), axis=1).sum()
+        out = T.tensor_sum(T.softmax(T.matmul(T.relu(a), Tensor(w)), axis=1))
         T.backward(out)
         return out.data.copy(), a.grad.copy()
 
@@ -391,3 +393,52 @@ def test_no_nan_inf_on_finite_inputs():
         T.clip(x, -1 + 1e-7, 1 - 1e-7),
     ):
         assert np.isfinite(out.data).all()
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _tensor_calls_outside_tensor_py():
+    """Names of ``turbfuse.tensor`` functions that another ``src/turbfuse`` module calls."""
+    called = set()
+    for path in (REPO / "src" / "turbfuse").glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module_aliases, imported = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name == "tensor":
+                        module_aliases.add(alias.asname or alias.name)
+                    elif node.module == "tensor":
+                        imported[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in module_aliases:
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in imported:
+                called.add(imported[f.id])
+    return called
+
+
+def _tracer_ops():
+    tree = ast.parse((REPO / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "OPS" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("bench/tracer.py defines no OPS")
+
+
+def test_every_public_op_is_reached_from_src_or_traced():
+    public = {
+        name
+        for name, fn in vars(T).items()
+        if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
+    }
+    called = _tensor_calls_outside_tensor_py()
+    dead = sorted(public - called - _tracer_ops())
+    assert dead == [], f"tensor functions no src module calls: {dead}"
+    assert public - called <= {"softmax"}, "only softmax may stay for the tracer alone"

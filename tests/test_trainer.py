@@ -8,7 +8,7 @@ from turbfuse.errors import ConfigError, ContractError, TrainingError
 from turbfuse.fusion import ATTENTION_ORDERS, ROLE_VARIANTS, FusionConfig, FusionParams, fuse, zero_fusion_output
 from turbfuse.margin import MarginParams, angular_margin_loss
 from turbfuse.tensor import Tensor, backward, no_grad
-from turbfuse.optim import lr_at
+from turbfuse.optim import FitConfig, lr_at
 from turbfuse.trainer import (
     TrainConfig,
     forward_framework,
@@ -214,7 +214,7 @@ class TestDivergence:
         labels = np.arange(16) % 4
         bcfg = BackboneConfig(image_size=16, channels=(4, 8), embed_dim=8)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="pretrain diverged") as info:
-            pretrain(images, labels, bcfg, MarginParams(s=8.0), epochs=4, batch_size=4, lr=1e6, seed=0)
+            pretrain(images, labels, bcfg, MarginParams(s=8.0), FitConfig(epochs=4, batch_size=4, lr_base=1e6), seed=0)
         shapes = {k: t.shape for k, t in BackboneParams.init(rng, bcfg).tensors().items()}
         shapes["head.weights"] = (4, 8)
         self.check(info.value, shapes)
