@@ -10,29 +10,24 @@ None)``, run under a named ``Condition`` (intensity, restorer, restore seed
 salt) through ``_AblateInputs.run``, the one place where it trains and
 evaluates.
 
-Artifacts live under the config's output_dir. Each kind a command reads
-has one loader, which raises DependencyError naming the command to (re-)run
-when the artifact is missing or does not fit the config:
-
-    dataset/  degraded/<tag>/  restored/<tag>/   _image_sets
-    pretrain/backbone/                           _load_backbone -> _load_state
-    train/<strategy>/checkpoint/                 _load_train_result -> _load_state
-
-``<tag>`` is the ``level_tag`` of the intensity. Only ``dataset/`` holds a
-``manifest.json``; the degraded and restored sets hold the same image paths.
-Each artifact holds ``made_under.json``: the generator version and the
-``MADE_UNDER`` entries of the config it was made under, which
-``_check_made_under`` compares with the run's, the one place an artifact is
-compared with the code and config. ``_image_sets`` checks the dataset's
-record before each set's. A command writes an artifact inside
+Artifacts live under the config's output_dir, each at the directory
+``ARTIFACTS`` gives the command that writes it. A command reads them through
+``_image_sets`` or ``_load_state``, which raise DependencyError naming the
+command to (re-)run when the artifact is missing or does not fit the config.
+Only the dataset holds a ``manifest.json``; the degraded and restored sets
+hold the same image paths. Each artifact holds ``made_under.json``: the
+generator version and the ``ARTIFACTS`` entries of the config it was made
+under, which ``_check_made_under`` compares with the run's, the one place an
+artifact is compared with the code and config. ``_image_sets`` checks the
+dataset's record before each set's. A command writes an artifact inside
 ``_recording``, which deletes its record before the first write and swaps a
 whole one in after the last, so one that dies partway leaves an artifact
 that exits 3 before any of it is parsed. A checkpoint holds exactly the
 name -> Tensor dict ``optim.fit`` trains; a diverged run's last good one goes
-to ``diverged/``.
-Reports (histories, provenance.json, reports/) are never read back.
-A trained state's fusion weights carry the fusion config they were built
-for, so ``evaluate_strategy`` runs that architecture, whatever the run config.
+to ``diverged/`` beside it. Reports (histories, provenance.json, reports/)
+are never read back. A trained state's fusion weights carry the fusion
+config they were built for, so ``evaluate_strategy`` runs that architecture,
+whatever the run config.
 """
 
 from __future__ import annotations
@@ -119,22 +114,32 @@ def _out(cfg, out_dir=None):
 
 # Test identities are numbered after the train ones: the train split is no function of the test split's keys
 _TRAIN_SPLIT = ("dataset.n_identities", "dataset.per_identity", "dataset.image_size")
-# The config sections and ``section.key``s each command's artifact is a function of, its inputs' included
-MADE_UNDER = {
-    "synth": ("seed", "dataset"),
-    "degrade": ("seed", "dataset", "turbulence"),
-    "restore": ("seed", "dataset", "turbulence", "restore"),
-    "pretrain": ("seed", *_TRAIN_SPLIT, "backbone", "loss"),
-    "train": ("seed", *_TRAIN_SPLIT, "turbulence", "restore", "backbone", "loss", "fusion", "train"),
+# command -> (its artifact's directory under the output dir, ``{tag}`` the intensity's ``level_tag``, ``{strategy}``
+# ``train.strategy``; the config sections and ``section.key``s the artifact is a function of, its inputs' included)
+ARTIFACTS = {
+    "synth": ("dataset", ("seed", "dataset")),
+    "degrade": ("degraded/{tag}", ("seed", "dataset", "turbulence")),
+    "restore": ("restored/{tag}", ("seed", "dataset", "turbulence", "restore")),
+    "pretrain": ("pretrain/backbone", ("seed", *_TRAIN_SPLIT, "backbone", "loss")),
+    "train": (
+        "train/{strategy}/checkpoint",
+        ("seed", *_TRAIN_SPLIT, "turbulence", "restore", "backbone", "loss", "fusion", "train"),
+    ),
 }
 
 
+def _artifact(cfg, out, command):
+    """The directory of ``command``'s artifact under ``cfg``: the one place a path to an artifact is built."""
+    tag = level_tag(cfg["turbulence"]["intensity_meters"])
+    return _out(cfg, out) / ARTIFACTS[command][0].format(tag=tag, strategy=cfg["train"]["strategy"])
+
+
 def _made_under(cfg, command):
-    """``MADE_UNDER[command]``'s entries of ``cfg`` as ``section.key -> value``,
+    """``command``'s ``ARTIFACTS`` entries of ``cfg`` as ``section.key -> value``,
     plus the ``generator_version`` of the faces every artifact comes from.
     A trained state without fusion weights (any strategy but ``adapter_joint``,
     as ``init_state`` builds them) is no function of the ``fusion`` section."""
-    entries = MADE_UNDER[command]
+    entries = ARTIFACTS[command][1]
     if command == "train" and cfg["train"]["strategy"] != "adapter_joint":
         entries = tuple(e for e in entries if e != "fusion")
     flat = {"generator_version": GENERATOR_VERSION}
@@ -146,13 +151,14 @@ def _made_under(cfg, command):
 
 
 @contextlib.contextmanager
-def _recording(cfg, command, dest):
-    """Write ``dest`` without its record: drop it before the first write, so a
-    run that dies partway leaves an artifact that no loader accepts, and write
-    ``cfg``'s ``command`` record after the last, through a temporary name, so
-    it is whole or absent."""
+def _recording(cfg, out, command):
+    """Yield the directory of ``command``'s artifact to write it without its
+    record: drop it before the first write, so a run that dies partway leaves
+    an artifact that no loader accepts, and write ``cfg``'s record after the
+    last, through a temporary name, so it is whole or absent."""
+    dest = _artifact(cfg, out, command)
     (dest / "made_under.json").unlink(missing_ok=True)
-    yield
+    yield dest
     tmp = emit_report(_made_under(cfg, command), dest / "made_under.json.tmp")
     os.replace(tmp, dest / "made_under.json")
 
@@ -167,26 +173,25 @@ def _read_record(dest, command):
     return json.loads(path.read_text())
 
 
-def _image_sets(cfg, out, *kinds):
+def _image_sets(cfg, out, *commands):
     """The dataset's manifest, plus one loader of images by manifest entries
-    per kind: the ``dataset``, or the ``degraded`` or ``restored`` set at the
-    config's intensity. The dataset's record is checked first, then each
-    set's, all before the manifest is parsed; a mismatch names the set's own
-    command."""
+    per set, named by the command that writes it (``synth``, ``degrade`` or
+    ``restore``). The dataset's record is checked first, then each set's, all
+    before the manifest is parsed; a mismatch names the set's own command."""
     roots = {}
-    for kind in dict.fromkeys(("dataset", *kinds)):
-        name = kind if kind == "dataset" else f"{kind}/{level_tag(cfg['turbulence']['intensity_meters'])}"
-        roots[kind] = _out(cfg, out) / name
-        made_by = {"dataset": "synth", "degraded": "degrade", "restored": "restore"}[kind]
-        _check_made_under(name, _made_under(cfg, made_by), _read_record(roots[kind], made_by), made_by)
-    manifest = DatasetManifest.load(roots["dataset"] / "manifest.json")
-    return (manifest, *(partial(load_images, roots[kind]) for kind in kinds))
+    for command in dict.fromkeys(("synth", *commands)):
+        roots[command] = _artifact(cfg, out, command)
+        name = roots[command].relative_to(_out(cfg, out))
+        _check_made_under(name, _made_under(cfg, command), _read_record(roots[command], command), command)
+    manifest = DatasetManifest.load(roots["synth"] / "manifest.json")
+    return (manifest, *(partial(load_images, roots[command]) for command in commands))
 
 
-def _load_state(cfg, dest, tensors, command):
-    """Fill ``tensors`` (name -> Tensor) in place from the bundle at ``dest``,
+def _load_state(cfg, out, command, tensors):
+    """Fill ``tensors`` (name -> Tensor) in place from ``command``'s bundle,
     made under ``cfg``, which must hold exactly the same names and shapes
     (compared first, so the error names the tensors of another architecture)."""
+    dest = _artifact(cfg, out, command)
     record = _read_record(dest, command)
     arrays = load_bundle(dest)
     _check_made_under(dest, {k: t.shape for k, t in tensors.items()}, {k: a.shape for k, a in arrays.items()}, command)
@@ -252,21 +257,19 @@ def restore_stack(degraded, clean, params, rcfg: RestoreConfig, cfg_seed, seed_s
 
 
 def cmd_synth(cfg, out_dir=None):
-    dest, d = _out(cfg, out_dir) / "dataset", cfg["dataset"]
+    d = cfg["dataset"]
     check_dataset(d["n_identities"], d["per_identity"], d["image_size"])  # a rejected config keeps the old record
-    with _recording(cfg, "synth", dest):
+    with _recording(cfg, out_dir, "synth") as dest:
         manifest = synth_dataset(dest, **d, seed=cfg["seed"])
     return {"command": "synth", "images": len(manifest.images), "config_hash": config_hash(cfg)}
 
 
 def cmd_degrade(cfg, out_dir=None):
-    out = _out(cfg, out_dir)
-    manifest, clean = _image_sets(cfg, out_dir, "dataset")
+    manifest, clean = _image_sets(cfg, out_dir, "synth")
     params = _turb_params(cfg)
     tag = level_tag(params.intensity_meters)
     images, _ = clean(manifest.images)
     degraded = degrade_stack(images, params, cfg["seed"])
-    dest = out / "degraded" / tag
     prov = {
         "level": tag,
         "intensity_meters": params.intensity_meters,
@@ -274,7 +277,7 @@ def cmd_degrade(cfg, out_dir=None):
         "d_over_r0": params.d_over_r0,
         "tilt_rms_px": params.tilt_rms_px,
     }
-    with _recording(cfg, "degrade", dest):
+    with _recording(cfg, out_dir, "degrade") as dest:
         for entry, img in zip(manifest.images, degraded):
             save_tensor(dest / entry.path, img)
         emit_report(prov, dest / "provenance.json")
@@ -285,18 +288,15 @@ def cmd_restore(cfg, out_dir=None):
     rcfg = _restore_cfg(cfg)
     if rcfg.mode == "wiener":
         _check_wiener_psf(cfg)
-    out = _out(cfg, out_dir)
-    manifest, load_clean, load_degraded = _image_sets(cfg, out_dir, "dataset", "degraded")
+    manifest, load_clean, load_degraded = _image_sets(cfg, out_dir, "synth", "degrade")
     params = _turb_params(cfg)
-    tag = level_tag(params.intensity_meters)
     clean, _ = load_clean(manifest.images)
     degraded, _ = load_degraded(manifest.images)
     restored = restore_stack(degraded, clean, params, rcfg, cfg["seed"])
-    dest = out / "restored" / tag
-    with _recording(cfg, "restore", dest):
+    with _recording(cfg, out_dir, "restore") as dest:
         for entry, img in zip(manifest.images, restored):
             save_tensor(dest / entry.path, img)
-    return {"command": "restore", "level": tag, "images": len(manifest.images)}
+    return {"command": "restore", "level": level_tag(params.intensity_meters), "images": len(manifest.images)}
 
 
 def _backbone_cfg(cfg):
@@ -325,25 +325,25 @@ def _keeping_diverged(dest):
 
 
 def cmd_pretrain(cfg, out_dir=None):
-    dest = _out(cfg, out_dir) / "pretrain"
-    manifest, clean = _image_sets(cfg, out_dir, "dataset")
+    parent = _artifact(cfg, out_dir, "pretrain").parent
+    manifest, clean = _image_sets(cfg, out_dir, "synth")
     images, labels = clean(manifest.split_images("train"))
     b = cfg["backbone"]
     fit_cfg = FitConfig(batch_size=b["batch_size"], epochs=b["epochs"], lr_base=b["lr"], warmup_steps=b["warmup_steps"])
-    with _keeping_diverged(dest):
+    with _keeping_diverged(parent):
         result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), fit_cfg, seed=cfg["seed"])
-    with _recording(cfg, "pretrain", dest / "backbone"):
-        save_bundle(dest / "backbone", result.params.tensors())
+    with _recording(cfg, out_dir, "pretrain") as dest:
+        save_bundle(dest, result.params.tensors())
     first, last = result.loss_history[0], result.loss_history[-1]
     drop = 1.0 - last / max(first, 1e-12)
-    emit_report({"loss_first": first, "loss_last": last, "loss_drop": drop}, dest / "history.json")
+    emit_report({"loss_first": first, "loss_last": last, "loss_drop": drop}, parent / "history.json")
     return {"command": "pretrain", "steps": len(result.loss_history), "loss_drop": drop}
 
 
 def _load_backbone(cfg, out):
     """The pretrained backbone, frozen."""
     params = BackboneParams.init(np.random.default_rng(0), _backbone_cfg(cfg), trainable=False)
-    _load_state(cfg, _out(cfg, out) / "pretrain" / "backbone", params.tensors(), "pretrain")
+    _load_state(cfg, out, "pretrain", params.tensors())
     return params
 
 
@@ -357,23 +357,23 @@ def _train_cfg(cfg, **overrides):
 
 def cmd_train(cfg, out_dir=None):
     tcfg = _train_cfg(cfg)
-    dest = _out(cfg, out_dir) / "train" / tcfg.strategy
-    manifest, load_degraded, load_restored = _image_sets(cfg, out_dir, "degraded", "restored")
+    parent = _artifact(cfg, out_dir, "train").parent
+    manifest, load_degraded, load_restored = _image_sets(cfg, out_dir, "degrade", "restore")
     frozen = _load_backbone(cfg, out_dir)
     entries = manifest.split_images("train")
     lq, labels = load_degraded(entries)
     restored, _ = load_restored(entries)
     before = frozen.state_bytes()
-    with _keeping_diverged(dest):
+    with _keeping_diverged(parent):
         result = train_adapter(lq, restored, labels, frozen, _fusion_cfg(cfg), _margin(cfg), tcfg)
     if frozen.state_bytes() != before:
         raise TrainingError(f"freeze contract broken: {tcfg.strategy} training changed the frozen backbone")
-    dest.mkdir(parents=True, exist_ok=True)
+    parent.mkdir(parents=True, exist_ok=True)
     trained = result.tensors()
     if trained:
-        with _recording(cfg, "train", dest / "checkpoint"):
-            save_bundle(dest / "checkpoint", trained)
-    (dest / "history.jsonl").write_text(result.history.to_jsonl() + "\n", encoding="utf-8")
+        with _recording(cfg, out_dir, "train") as dest:
+            save_bundle(dest, trained)
+    (parent / "history.jsonl").write_text(result.history.to_jsonl() + "\n", encoding="utf-8")
     return {
         "command": "train",
         "strategy": tcfg.strategy,
@@ -383,10 +383,11 @@ def cmd_train(cfg, out_dir=None):
     }
 
 
-def _load_train_result(cfg, out, strategy, frozen):
-    """Trained state of ``finetune_restored`` or ``adapter_joint``."""
+def _load_train_result(cfg, out, frozen):
+    """Trained state of the run's strategy, ``finetune_restored`` or ``adapter_joint``."""
+    strategy = cfg["train"]["strategy"]
     state = init_state(strategy, frozen, _fusion_cfg(cfg), cfg["dataset"]["n_identities"], np.random.default_rng(0))
-    _load_state(cfg, _out(cfg, out) / "train" / strategy / "checkpoint", state.tensors(), "train")
+    _load_state(cfg, out, "train", state.tensors())
     return state
 
 
@@ -462,7 +463,7 @@ def evaluate_strategy(cfg, strategy, pairs, frozen, result, gallery_embs, lq_tes
 def cmd_eval(cfg, out_dir=None, fmt="json"):
     out = _out(cfg, out_dir)
     tag = level_tag(cfg["turbulence"]["intensity_meters"])
-    manifest, load_clean, load_degraded, load_restored = _image_sets(cfg, out_dir, "dataset", "degraded", "restored")
+    manifest, load_clean, load_degraded, load_restored = _image_sets(cfg, out_dir, "synth", "degrade", "restore")
     entries = manifest.split_images("test")
     clean_test, labels_test = load_clean(entries)
     lq_test, _ = load_degraded(entries)
@@ -470,7 +471,7 @@ def cmd_eval(cfg, out_dir=None, fmt="json"):
     frozen = _load_backbone(cfg, out_dir)
 
     strategy = cfg["train"]["strategy"]
-    result = _load_train_result(cfg, out_dir, strategy, frozen) if strategy in TRAINED else None
+    result = _load_train_result(cfg, out_dir, frozen) if strategy in TRAINED else None
     gallery = gallery_embeddings(clean_test, frozen)
     report, score_set = evaluate_strategy(
         cfg, strategy, verification_pairs(cfg, manifest), frozen, result, gallery, lq_test, restored_test, labels_test
@@ -588,7 +589,7 @@ class _AblateInputs:
     def __init__(self, cfg, out_dir, frozen):
         self.cfg = cfg
         self.frozen = frozen
-        manifest, load_clean = _image_sets(cfg, out_dir, "dataset")
+        manifest, load_clean = _image_sets(cfg, out_dir, "synth")
         self.pairs = verification_pairs(cfg, manifest)
         self.clean, self.labels = {}, {}
         for split in ("train", "test"):
@@ -635,12 +636,12 @@ def _table3_condition(cfg, salt):
     return Condition(ab["table3_intensity"], _restore_cfg(cfg, artifact_sigma=ab["table3_artifact_sigma"]), salt)
 
 
-def _table3(inputs):
+def _table3(inputs, conds):
     """Every strategy per seed, each seed salting restoration and seeding training."""
     cfg = inputs.cfg
     ab = cfg["ablations"]
     cells = [(s, _fusion_cfg(cfg)) for s in STRATEGIES]
-    by_seed = [inputs.run(_table3_condition(cfg, seed), cells, seed=seed)[0] for seed in ab["table3_seeds"]]
+    by_seed = [inputs.run(cond, cells, seed=cond.salt)[0] for cond in conds]
     table = []
     for strategy, reports in zip(STRATEGIES, zip(*by_seed)):
         accs = [r.accuracy for r in reports]
@@ -677,12 +678,13 @@ def _fusion_grid_variants(cfg):
     return variants
 
 
-def _fusion_grid(inputs):
+def _fusion_grid(inputs, conds):
     cfg = inputs.cfg
     ab = cfg["ablations"]
     variants = _fusion_grid_variants(cfg)
     cells = [("adapter_joint", fcfg) for _, fcfg in variants]
-    reports, _ = inputs.run(_table3_condition(cfg, 0), cells, epochs=ab["grid_epochs"])
+    (cond,) = conds
+    reports, _ = inputs.run(cond, cells, epochs=ab["grid_epochs"])
     rows = []
     for (name, fcfg), report in zip(variants, reports):
         gc_cfg = dataclasses.replace(fcfg, d_model=16, ffn_hidden=32)
@@ -701,35 +703,38 @@ def _fusion_grid(inputs):
     return {"level": level_tag(ab["table3_intensity"]), "rows": rows}
 
 
-def _restorer_sweep(inputs):
+def _restorer_conditions(cfg):
+    """One oracle blend per ``ablations.restore_ws`` weight, then Wiener, at the run's intensity."""
+    rcfgs = [_restore_cfg(cfg, mode="oracle_blend", fidelity_w=w) for w in cfg["ablations"]["restore_ws"]]
+    return [Condition(cfg["turbulence"]["intensity_meters"], r, 0) for r in rcfgs + [_restore_cfg(cfg, mode="wiener")]]
+
+
+def _restorer_sweep(inputs, conds):
     """Frozen-baseline accuracy on restored probes per (mode, w)."""
-    cfg = inputs.cfg
-    meters = cfg["turbulence"]["intensity_meters"]
     rows = []
-    for mode, w in [("oracle_blend", w) for w in cfg["ablations"]["restore_ws"]] + [("wiener", None)]:
-        rcfg = _restore_cfg(cfg, mode=mode) if w is None else _restore_cfg(cfg, mode=mode, fidelity_w=w)
-        (report,), (_, restored) = inputs.run(Condition(meters, rcfg, 0), [("eval_restored", None)])
+    for cond in conds:
+        (report,), (_, restored) = inputs.run(cond, [("eval_restored", None)])
         rows.append(
             {
-                "mode": mode,
-                "fidelity_w": w,
+                "mode": cond.restore.mode,
+                "fidelity_w": None if cond.restore.mode == "wiener" else cond.restore.fidelity_w,
                 "accuracy": report.accuracy,
                 "accuracy_pct": pct(report.accuracy),
                 "mse_to_clean": float(((restored - inputs.clean["test"]) ** 2).mean()),
             }
         )
-    return {"level": level_tag(meters), "rows": rows}
+    return {"level": level_tag(inputs.cfg["turbulence"]["intensity_meters"]), "rows": rows}
 
 
-def _intensity_ladder(inputs):
+def _intensity_ladder(inputs, conds):
     """Degradation MSE and frozen-baseline accuracy across the ladder."""
     rows = []
-    for meters in inputs.cfg["ablations"]["intensity_levels"]:
-        (report,), (lq, _) = inputs.run(Condition(meters, None, 0), [("baseline_lq", None)])
+    for cond in conds:
+        (report,), (lq, _) = inputs.run(cond, [("baseline_lq", None)])
         rows.append(
             {
-                "level": level_tag(meters),
-                "intensity_meters": meters,
+                "level": level_tag(cond.meters),
+                "intensity_meters": cond.meters,
                 "mse": float(((lq - inputs.clean["test"]) ** 2).mean()),
                 "accuracy": report.accuracy,
                 "accuracy_pct": pct(report.accuracy),
@@ -738,11 +743,12 @@ def _intensity_ladder(inputs):
     return {"rows": rows}
 
 
+# part -> (the ``Condition``s it runs under, built from the config before any part runs; the part)
 ABLATION_PARTS = {
-    "table3": _table3,
-    "fusion_grid": _fusion_grid,
-    "restorer": _restorer_sweep,
-    "intensity": _intensity_ladder,
+    "table3": (lambda cfg: [_table3_condition(cfg, seed) for seed in cfg["ablations"]["table3_seeds"]], _table3),
+    "fusion_grid": (lambda cfg: [_table3_condition(cfg, 0)], _fusion_grid),
+    "restorer": (_restorer_conditions, _restorer_sweep),
+    "intensity": (lambda cfg: [Condition(m, None, 0) for m in cfg["ablations"]["intensity_levels"]], _intensity_ladder),
 }
 
 
@@ -754,23 +760,17 @@ def cmd_ablate(cfg, out_dir=None, fmt="json"):
         raise ConfigError(f"ablations.parts: unknown {unknown}; choose from {list(ABLATION_PARTS)}")
     if "table3" in parts and not ab["table3_seeds"]:
         raise ConfigError("ablations.table3_seeds: the table3 part needs at least one seed")
-    intensities = {
-        "table3": [ab["table3_intensity"]],
-        "fusion_grid": [ab["table3_intensity"]],
-        "restorer": [cfg["turbulence"]["intensity_meters"]],
-        "intensity": ab["intensity_levels"],
-    }
-    for part in parts:  # a bad intensity exits 2 before any part runs
-        for meters in intensities[part]:
-            _turb_params(cfg, meters=meters)
-    if "restorer" in parts or cfg["restore"]["mode"] == "wiener":  # the restorer sweep has a wiener row
-        _check_wiener_psf(cfg)
-    out = _out(cfg, out_dir)
+    # a bad restorer config, intensity or Wiener PSF exits 2 before any part runs
+    conditions = {part: ABLATION_PARTS[part][0](cfg) for part in parts}
+    for cond in (cond for conds in conditions.values() for cond in conds):
+        _turb_params(cfg, meters=cond.meters)
+        if cond.restore is not None and cond.restore.mode == "wiener":
+            _check_wiener_psf(cfg)
     inputs = _AblateInputs(cfg, out_dir, _load_backbone(cfg, out_dir))
     results = {"command": "ablate", "config_hash": config_hash(cfg), "version": version_string()}
-    for section, part in ABLATION_PARTS.items():
+    for section, (_, part) in ABLATION_PARTS.items():
         if section in parts:
-            results[section] = part(inputs)
+            results[section] = part(inputs, conditions[section])
 
     csv_rows = [("section", "name", "accuracy_pct")]
     for section in ABLATION_PARTS:
@@ -781,7 +781,7 @@ def cmd_ablate(cfg, out_dir=None, fmt="json"):
             if row.get("fidelity_w") is not None:  # one restorer row per blend weight
                 name += f"@{row['fidelity_w']}"
             csv_rows.append((section, name, row.get("accuracy_pct", "")))
-    emit_report(results, out / "reports" / "ablate.json", fmt=fmt, csv_rows=csv_rows)
+    emit_report(results, _out(cfg, out_dir) / "reports" / "ablate.json", fmt=fmt, csv_rows=csv_rows)
     return results
 
 

@@ -77,6 +77,34 @@ def test_pipeline_reruns_byte_identical(config_path, tmp_path, capsys):
     assert [rel for rel in files if Path(rel).name == "manifest.json"] == ["dataset/manifest.json"]
 
 
+def test_moving_every_artifact_table_entry_moves_every_artifact(config_path, tmp_path, monkeypatch, capsys):
+    # harness.ARTIFACTS is the one place an artifact's directory is named: any path built elsewhere stays behind
+    moved = {
+        "synth": "faces",
+        "degrade": "lq/{tag}",
+        "restore": "hq/{tag}",
+        "pretrain": "recognizer/weights",
+        "train": "ckpt/{strategy}/weights",
+    }
+    for cmd, template in moved.items():
+        monkeypatch.setitem(harness.ARTIFACTS, cmd, (template, harness.ARTIFACTS[cmd][1]))
+    out = tmp_path / "out"
+    run_pipeline(config_path, out)
+    argv = ["ablate", "--config", str(config_path), "--out", str(out), "--set", 'ablations.parts=["intensity"]']
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("made_under.json")) == [
+        "ckpt/adapter_joint/weights/made_under.json",
+        "faces/made_under.json",
+        "hq/20k/made_under.json",
+        "lq/20k/made_under.json",
+        "recognizer/weights/made_under.json",
+    ]
+    # no default directory: the reports beside each artifact moved with it
+    assert sorted(p.name for p in out.iterdir()) == ["ckpt", "faces", "hq", "lq", "recognizer", "reports"]
+    assert (out / "recognizer" / "history.json").exists() and (out / "ckpt" / "adapter_joint" / "history.jsonl").exists()
+
+
 def test_eval_on_empty_directory_exits_3(config_path, tmp_path, capsys):
     assert main(["eval", "--config", str(config_path), "--out", str(tmp_path / "empty")]) == 3
     assert "run the `synth` command first" in capsys.readouterr().err
@@ -634,8 +662,14 @@ def test_unknown_ablation_part_exits_2_before_loading(config_path, tmp_path, cap
             + ["turbulence.kernel_size=7"],
             "intensity_meters",
         ),
+        # the bad blend weight is the restorer part's, which runs after table3 and the fusion grid
+        (
+            [f"ablations.parts={json.dumps(ABLATION_PARTS)}", "ablations.restore_ws=[0.5, 1.5]"]
+            + ["turbulence.kernel_size=7"],
+            "fidelity_w",
+        ),
     ],
-    ids=["zero_rung", "zero_table3_intensity", "no_table3_seeds", "zero_rung_after_other_parts"],
+    ids=["zero_rung", "zero_table3_intensity", "no_table3_seeds", "zero_rung_after_other_parts", "bad_restore_w"],
 )
 def test_ablate_with_a_zero_intensity_or_no_seeds_exits_2(trained, tmp_path, sets, named, monkeypatch, capsys):
     # a 0 m level used to run at the default 20 km, and no seeds wrote NaN means

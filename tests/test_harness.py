@@ -46,7 +46,7 @@ class TestMadeUnder:
     TRAIN_SIDE = ("pretrain", "train")
 
     def test_each_record_covers_the_records_of_what_its_command_reads(self):
-        assert harness.MADE_UNDER.keys() == self.READS.keys()
+        assert harness.ARTIFACTS.keys() == self.READS.keys()
         for cmd, reads in self.READS.items():
             record = set(harness._made_under(DEFAULTS, cmd))
             for upstream in reads:
@@ -59,7 +59,7 @@ class TestMadeUnder:
     @pytest.mark.parametrize("cmd", sorted(READS))
     def test_record_lists_every_leaf_key_of_its_entries(self, cmd):
         want = {"generator_version": GENERATOR_VERSION}
-        for entry in harness.MADE_UNDER[cmd]:
+        for entry in harness.ARTIFACTS[cmd][1]:
             section, _, key = entry.partition(".")
             value = DEFAULTS[section][key] if key else DEFAULTS[entry]
             want.update({f"{entry}.{k}": v for k, v in value.items()} if isinstance(value, dict) else {entry: value})
@@ -139,10 +139,10 @@ class TestCheckpointRoundTrip:
         names = json.loads((tmp_path / "train" / strategy / "checkpoint" / "index.json").read_text())
         assert any(k.startswith("hq.") for k in names) == (variant != "b")
         frozen = harness._load_backbone(tiny_cfg, None)
-        loaded = harness._load_train_result(tiny_cfg, None, strategy, frozen)
+        loaded = harness._load_train_result(tiny_cfg, None, frozen)
         assert loaded.tensors().keys() == trained[0].tensors().keys()
 
-        manifest, load_degraded, load_restored = harness._image_sets(tiny_cfg, None, "degraded", "restored")
+        manifest, load_degraded, load_restored = harness._image_sets(tiny_cfg, None, "degrade", "restore")
         entries = manifest.split_images("test")
         lq, _ = load_degraded(entries)
         restored, _ = load_restored(entries)
@@ -159,9 +159,7 @@ class TestEvaluateStrategy:
         for cmd in (cmd_synth, cmd_degrade, cmd_restore, cmd_pretrain):
             cmd(tiny_cfg)
         frozen = harness._load_backbone(tiny_cfg, None)
-        manifest, load_clean, load_degraded, load_restored = harness._image_sets(
-            tiny_cfg, None, "dataset", "degraded", "restored"
-        )
+        manifest, load_clean, load_degraded, load_restored = harness._image_sets(tiny_cfg, None, "synth", "degrade", "restore")
         train, test = manifest.split_images("train"), manifest.split_images("test")
         deep_cfg = json.loads(json.dumps(tiny_cfg))
         deep_cfg["fusion"]["cascade_depth"] = 3

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +175,7 @@ _UNARY_CASES = [
 
 @pytest.mark.parametrize("name,build,shape", _UNARY_CASES, ids=[c[0] for c in _UNARY_CASES])
 def test_gradients_match_finite_differences(name, build, shape):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # fixed per case, so a failure replays
     x = rand_t(rng, *shape)
     loss = build(x)
     T.backward(loss)
