@@ -2,6 +2,8 @@
 
     turbfuse <command> --config <path> [--set section.key=value]... [--out <dir>]
 
+``--out`` sets the config's output_dir, over the config file and ``--set``.
+
 Commands: synth, degrade, restore, pretrain, train, eval, ablate,
 gradcheck. Exit codes: 0 success, 2 config error, 3 missing upstream
 artifact, 4 numerical failure.
@@ -25,7 +27,7 @@ def build_parser():
     parser.add_argument(
         "--set", dest="sets", action="append", default=[], metavar="KEY=VALUE", help="override section.key=value"
     )
-    parser.add_argument("--out", default=None, help="output directory (overrides config output_dir)")
+    parser.add_argument("--out", default=None, help="output directory (sets output_dir, over --config and --set)")
     parser.add_argument("--format", choices=("json", "csv"), default="json", help="also emit CSV tables")
     return parser
 
@@ -34,7 +36,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, sets=args.sets)
-        result = run(args.command, cfg, out_dir=args.out, fmt=args.format)
+        if args.out:
+            cfg["output_dir"] = args.out
+        result = run(args.command, cfg, fmt=args.format)
     except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

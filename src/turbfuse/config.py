@@ -1,8 +1,8 @@
 """Run configuration: one flat JSON file with nested sections.
 
 Every experiment is fully described by (config, seed); commands take only
-the config path plus ``--set section.key=value`` overrides, so ablations
-stay reproducible. Unknown sections or keys are rejected with the exact
+the config path plus ``--set section.key=value`` overrides (and ``--out``,
+which sets ``output_dir``), so ablations stay reproducible. Unknown sections or keys are rejected with the exact
 key path.
 """
 
@@ -169,5 +169,7 @@ def load_config(path=None, sets=()):
 
 
 def config_hash(cfg):
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+    """Hash of what a run computes: every key but ``output_dir``, where it writes."""
+    body = {k: v for k, v in cfg.items() if k != "output_dir"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 

@@ -10,8 +10,9 @@ information, which is what the degradation benchmark exploits.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,24 +70,19 @@ class _Decoder:
     freqs: np.ndarray  # (M, 2) spatial frequency vectors
     phases: np.ndarray  # (M,)
     mix: np.ndarray  # (M, Z) latent-to-amplitude map
-    grids: dict = field(default_factory=dict)
 
 
-_decoder_cache = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _decoder():
-    if "d" not in _decoder_cache:
-        rng = np.random.default_rng(_DECODER_SEED)
-        angles = rng.uniform(0, np.pi, _N_COMPONENTS)
-        # cycles per image spread log-uniformly; the band skews fine so
-        # blur removes identity detail the way it does for real faces
-        cycles = np.exp(rng.uniform(np.log(1.5), np.log(16.0), _N_COMPONENTS))
-        freqs = np.pi * cycles[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        phases = rng.uniform(0, 2 * np.pi, _N_COMPONENTS)
-        mix = rng.standard_normal((_N_COMPONENTS, LATENT_DIM)) / np.sqrt(LATENT_DIM)
-        _decoder_cache["d"] = _Decoder(freqs, phases, mix)
-    return _decoder_cache["d"]
+    rng = np.random.default_rng(_DECODER_SEED)
+    angles = rng.uniform(0, np.pi, _N_COMPONENTS)
+    # cycles per image spread log-uniformly; the band skews fine so
+    # blur removes identity detail the way it does for real faces
+    cycles = np.exp(rng.uniform(np.log(1.5), np.log(16.0), _N_COMPONENTS))
+    freqs = np.pi * cycles[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    phases = rng.uniform(0, 2 * np.pi, _N_COMPONENTS)
+    mix = rng.standard_normal((_N_COMPONENTS, LATENT_DIM)) / np.sqrt(LATENT_DIM)
+    return _Decoder(freqs, phases, mix)
 
 
 def identity_latent(identity_id, dataset_seed):
@@ -104,10 +100,8 @@ def render(identity: IdentitySpec, jitter_seed, image_size):
     bias = rng.normal(0.0, 0.05)
     contrast = float(np.exp(rng.normal(0.0, 0.1)))
 
-    if image_size not in dec.grids:
-        ax = np.linspace(-1.0, 1.0, image_size)
-        dec.grids[image_size] = np.meshgrid(ax, ax, indexing="ij")
-    vv, uu = dec.grids[image_size]
+    ax = np.linspace(-1.0, 1.0, image_size)
+    vv, uu = ax[:, None], ax[None, :]  # row and column coordinates, broadcast to (H, W) below
     cr, sr = np.cos(rot), np.sin(rot)
     u = cr * (uu + du) - sr * (vv + dv)
     v = sr * (uu + du) + cr * (vv + dv)

@@ -10,10 +10,13 @@ None)``, run under a named ``Condition`` (intensity, restorer, restore seed
 salt) through ``_AblateInputs.run``, the one place where it trains and
 evaluates.
 
-Artifacts live under the config's output_dir, each at the directory
-``ARTIFACTS`` gives the command that writes it. A command reads them through
-``_image_sets`` or ``_load_state``, which raise DependencyError naming the
-command to (re-)run when the artifact is missing or does not fit the config.
+A command reads nothing but its config: the CLI's ``--out`` is written into
+the config's ``output_dir`` before the command runs. Artifacts live under
+that directory, each at the directory ``ARTIFACTS`` gives the command that
+writes it. A command reads them through ``_image_sets``, which loads each
+image set of one split as one stack, or ``_load_state``; both raise
+DependencyError naming the command to (re-)run when the artifact is missing
+or does not fit the config.
 Only the dataset holds a ``manifest.json``; the degraded and restored sets
 hold the same image paths. Each artifact holds ``made_under.json``: the
 generator version and the ``ARTIFACTS`` entries of the config it was made
@@ -38,7 +41,6 @@ import json
 import os
 import subprocess
 from decimal import Decimal
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +110,6 @@ def emit_report(results, path, fmt="json", csv_rows=None):
 # -- artifact plumbing ---------------------------------------------------------
 
 
-def _out(cfg, out_dir=None):
-    return Path(out_dir or cfg["output_dir"])
-
-
 # Test identities are numbered after the train ones: the train split is no function of the test split's keys
 _TRAIN_SPLIT = ("dataset.n_identities", "dataset.per_identity", "dataset.image_size")
 # command -> (its artifact's directory under the output dir, ``{tag}`` the intensity's ``level_tag``, ``{strategy}``
@@ -128,10 +126,10 @@ ARTIFACTS = {
 }
 
 
-def _artifact(cfg, out, command):
+def _artifact(cfg, command):
     """The directory of ``command``'s artifact under ``cfg``: the one place a path to an artifact is built."""
     tag = level_tag(cfg["turbulence"]["intensity_meters"])
-    return _out(cfg, out) / ARTIFACTS[command][0].format(tag=tag, strategy=cfg["train"]["strategy"])
+    return Path(cfg["output_dir"]) / ARTIFACTS[command][0].format(tag=tag, strategy=cfg["train"]["strategy"])
 
 
 def _made_under(cfg, command):
@@ -151,12 +149,12 @@ def _made_under(cfg, command):
 
 
 @contextlib.contextmanager
-def _recording(cfg, out, command):
+def _recording(cfg, command):
     """Yield the directory of ``command``'s artifact to write it without its
     record: drop it before the first write, so a run that dies partway leaves
     an artifact that no loader accepts, and write ``cfg``'s record after the
     last, through a temporary name, so it is whole or absent."""
-    dest = _artifact(cfg, out, command)
+    dest = _artifact(cfg, command)
     (dest / "made_under.json").unlink(missing_ok=True)
     yield dest
     tmp = emit_report(_made_under(cfg, command), dest / "made_under.json.tmp")
@@ -173,25 +171,28 @@ def _read_record(dest, command):
     return json.loads(path.read_text())
 
 
-def _image_sets(cfg, out, *commands):
-    """The dataset's manifest, plus one loader of images by manifest entries
-    per set, named by the command that writes it (``synth``, ``degrade`` or
+def _image_sets(cfg, split, *commands):
+    """The dataset's manifest, the labels of ``split``'s images (every image
+    with ``split`` None), and one (N, H, W) stack of those images per set,
+    named by the command that writes it (``synth``, ``degrade`` or
     ``restore``). The dataset's record is checked first, then each set's, all
     before the manifest is parsed; a mismatch names the set's own command."""
     roots = {}
     for command in dict.fromkeys(("synth", *commands)):
-        roots[command] = _artifact(cfg, out, command)
-        name = roots[command].relative_to(_out(cfg, out))
+        roots[command] = _artifact(cfg, command)
+        name = roots[command].relative_to(cfg["output_dir"])
         _check_made_under(name, _made_under(cfg, command), _read_record(roots[command], command), command)
     manifest = DatasetManifest.load(roots["synth"] / "manifest.json")
-    return (manifest, *(partial(load_images, roots[command]) for command in commands))
+    entries = manifest.images if split is None else manifest.split_images(split)
+    labels = np.array([im.label for im in entries])
+    return (manifest, labels, *(load_images(roots[command], entries)[0] for command in commands))
 
 
-def _load_state(cfg, out, command, tensors):
+def _load_state(cfg, command, tensors):
     """Fill ``tensors`` (name -> Tensor) in place from ``command``'s bundle,
     made under ``cfg``, which must hold exactly the same names and shapes
     (compared first, so the error names the tensors of another architecture)."""
-    dest = _artifact(cfg, out, command)
+    dest = _artifact(cfg, command)
     record = _read_record(dest, command)
     arrays = load_bundle(dest)
     _check_made_under(dest, {k: t.shape for k, t in tensors.items()}, {k: a.shape for k, a in arrays.items()}, command)
@@ -256,19 +257,18 @@ def restore_stack(degraded, clean, params, rcfg: RestoreConfig, cfg_seed, seed_s
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_synth(cfg, out_dir=None):
+def cmd_synth(cfg):
     d = cfg["dataset"]
     check_dataset(d["n_identities"], d["per_identity"], d["image_size"])  # a rejected config keeps the old record
-    with _recording(cfg, out_dir, "synth") as dest:
+    with _recording(cfg, "synth") as dest:
         manifest = synth_dataset(dest, **d, seed=cfg["seed"])
     return {"command": "synth", "images": len(manifest.images), "config_hash": config_hash(cfg)}
 
 
-def cmd_degrade(cfg, out_dir=None):
-    manifest, clean = _image_sets(cfg, out_dir, "synth")
+def cmd_degrade(cfg):
+    manifest, _, images = _image_sets(cfg, None, "synth")
     params = _turb_params(cfg)
     tag = level_tag(params.intensity_meters)
-    images, _ = clean(manifest.images)
     degraded = degrade_stack(images, params, cfg["seed"])
     prov = {
         "level": tag,
@@ -277,23 +277,21 @@ def cmd_degrade(cfg, out_dir=None):
         "d_over_r0": params.d_over_r0,
         "tilt_rms_px": params.tilt_rms_px,
     }
-    with _recording(cfg, out_dir, "degrade") as dest:
+    with _recording(cfg, "degrade") as dest:
         for entry, img in zip(manifest.images, degraded):
             save_tensor(dest / entry.path, img)
         emit_report(prov, dest / "provenance.json")
     return {"command": "degrade", "level": tag, "images": len(manifest.images)}
 
 
-def cmd_restore(cfg, out_dir=None):
+def cmd_restore(cfg):
     rcfg = _restore_cfg(cfg)
     if rcfg.mode == "wiener":
         _check_wiener_psf(cfg)
-    manifest, load_clean, load_degraded = _image_sets(cfg, out_dir, "synth", "degrade")
+    manifest, _, clean, degraded = _image_sets(cfg, None, "synth", "degrade")
     params = _turb_params(cfg)
-    clean, _ = load_clean(manifest.images)
-    degraded, _ = load_degraded(manifest.images)
     restored = restore_stack(degraded, clean, params, rcfg, cfg["seed"])
-    with _recording(cfg, out_dir, "restore") as dest:
+    with _recording(cfg, "restore") as dest:
         for entry, img in zip(manifest.images, restored):
             save_tensor(dest / entry.path, img)
     return {"command": "restore", "level": level_tag(params.intensity_meters), "images": len(manifest.images)}
@@ -324,15 +322,14 @@ def _keeping_diverged(dest):
         raise
 
 
-def cmd_pretrain(cfg, out_dir=None):
-    parent = _artifact(cfg, out_dir, "pretrain").parent
-    manifest, clean = _image_sets(cfg, out_dir, "synth")
-    images, labels = clean(manifest.split_images("train"))
+def cmd_pretrain(cfg):
+    parent = _artifact(cfg, "pretrain").parent
+    _, labels, images = _image_sets(cfg, "train", "synth")
     b = cfg["backbone"]
     fit_cfg = FitConfig(batch_size=b["batch_size"], epochs=b["epochs"], lr_base=b["lr"], warmup_steps=b["warmup_steps"])
     with _keeping_diverged(parent):
         result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), fit_cfg, seed=cfg["seed"])
-    with _recording(cfg, out_dir, "pretrain") as dest:
+    with _recording(cfg, "pretrain") as dest:
         save_bundle(dest, result.params.tensors())
     first, last = result.loss_history[0], result.loss_history[-1]
     drop = 1.0 - last / max(first, 1e-12)
@@ -340,10 +337,10 @@ def cmd_pretrain(cfg, out_dir=None):
     return {"command": "pretrain", "steps": len(result.loss_history), "loss_drop": drop}
 
 
-def _load_backbone(cfg, out):
+def _load_backbone(cfg):
     """The pretrained backbone, frozen."""
     params = BackboneParams.init(np.random.default_rng(0), _backbone_cfg(cfg), trainable=False)
-    _load_state(cfg, out, "pretrain", params.tensors())
+    _load_state(cfg, "pretrain", params.tensors())
     return params
 
 
@@ -355,39 +352,33 @@ def _train_cfg(cfg, **overrides):
     return TrainConfig(**{**cfg["train"], "seed": cfg["seed"], **overrides})
 
 
-def cmd_train(cfg, out_dir=None):
-    tcfg = _train_cfg(cfg)
-    parent = _artifact(cfg, out_dir, "train").parent
-    manifest, load_degraded, load_restored = _image_sets(cfg, out_dir, "degrade", "restore")
-    frozen = _load_backbone(cfg, out_dir)
-    entries = manifest.split_images("train")
-    lq, labels = load_degraded(entries)
-    restored, _ = load_restored(entries)
+def cmd_train(cfg):
+    tcfg = _train_cfg(cfg)  # a strategy that trains nothing exits 2 before any artifact is read
+    parent = _artifact(cfg, "train").parent
+    _, labels, lq, restored = _image_sets(cfg, "train", "degrade", "restore")
+    frozen = _load_backbone(cfg)
     before = frozen.state_bytes()
     with _keeping_diverged(parent):
         result = train_adapter(lq, restored, labels, frozen, _fusion_cfg(cfg), _margin(cfg), tcfg)
     if frozen.state_bytes() != before:
         raise TrainingError(f"freeze contract broken: {tcfg.strategy} training changed the frozen backbone")
-    parent.mkdir(parents=True, exist_ok=True)
-    trained = result.tensors()
-    if trained:
-        with _recording(cfg, out_dir, "train") as dest:
-            save_bundle(dest, trained)
+    with _recording(cfg, "train") as dest:
+        save_bundle(dest, result.tensors())
     (parent / "history.jsonl").write_text(result.history.to_jsonl() + "\n", encoding="utf-8")
     return {
         "command": "train",
         "strategy": tcfg.strategy,
         "level": level_tag(cfg["turbulence"]["intensity_meters"]),
         "optimizer_steps": result.optimizer_steps,
-        "final_epoch_loss": result.history.epoch_loss[-1] if result.history.epoch_loss else None,
+        "final_epoch_loss": result.history.epoch_loss[-1],
     }
 
 
-def _load_train_result(cfg, out, frozen):
+def _load_train_result(cfg, frozen):
     """Trained state of the run's strategy, ``finetune_restored`` or ``adapter_joint``."""
     strategy = cfg["train"]["strategy"]
     state = init_state(strategy, frozen, _fusion_cfg(cfg), cfg["dataset"]["n_identities"], np.random.default_rng(0))
-    _load_state(cfg, out, "train", state.tensors())
+    _load_state(cfg, "train", state.tensors())
     return state
 
 
@@ -460,18 +451,16 @@ def evaluate_strategy(cfg, strategy, pairs, frozen, result, gallery_embs, lq_tes
     return report, score_set
 
 
-def cmd_eval(cfg, out_dir=None, fmt="json"):
-    out = _out(cfg, out_dir)
+def cmd_eval(cfg, fmt="json"):
     tag = level_tag(cfg["turbulence"]["intensity_meters"])
-    manifest, load_clean, load_degraded, load_restored = _image_sets(cfg, out_dir, "synth", "degrade", "restore")
-    entries = manifest.split_images("test")
-    clean_test, labels_test = load_clean(entries)
-    lq_test, _ = load_degraded(entries)
-    restored_test, _ = load_restored(entries)
-    frozen = _load_backbone(cfg, out_dir)
-
     strategy = cfg["train"]["strategy"]
-    result = _load_train_result(cfg, out_dir, frozen) if strategy in TRAINED else None
+    # baseline_lq reads no restored image; every strategy loads the degraded set, whose length is the probe count
+    sets = ("synth", "degrade") if strategy == "baseline_lq" else ("synth", "degrade", "restore")
+    manifest, labels_test, clean_test, lq_test, *restored = _image_sets(cfg, "test", *sets)
+    restored_test = restored[0] if restored else None
+    frozen = _load_backbone(cfg)
+
+    result = _load_train_result(cfg, frozen) if strategy in TRAINED else None
     gallery = gallery_embeddings(clean_test, frozen)
     report, score_set = evaluate_strategy(
         cfg, strategy, verification_pairs(cfg, manifest), frozen, result, gallery, lq_test, restored_test, labels_test
@@ -488,7 +477,7 @@ def cmd_eval(cfg, out_dir=None, fmt="json"):
     csv_rows = [("pair_id", "score", "label")] + [
         (i, f"{s:.6f}", int(l)) for i, (s, l) in enumerate(zip(score_set.scores, score_set.labels))
     ]
-    emit_report(payload, out / "reports" / f"eval_{strategy}_{tag}.json", fmt=fmt, csv_rows=csv_rows)
+    emit_report(payload, Path(cfg["output_dir"], "reports", f"eval_{strategy}_{tag}.json"), fmt=fmt, csv_rows=csv_rows)
     return payload
 
 
@@ -537,7 +526,7 @@ def gradcheck_fusion(fcfg: FusionConfig, samples_per_tensor):
     return err64, err32, bool(err64 < GRADCHECK_TOL_F64 and err32 < GRADCHECK_TOL_F32)
 
 
-def cmd_gradcheck(cfg, out_dir=None):
+def cmd_gradcheck(cfg):
     import time
 
     t0 = time.time()
@@ -552,7 +541,7 @@ def cmd_gradcheck(cfg, out_dir=None):
         "elapsed_s": round(elapsed, 3),
         "passed": ok,
     }
-    emit_report(payload, _out(cfg, out_dir) / "reports" / "gradcheck.json")
+    emit_report(payload, Path(cfg["output_dir"], "reports", "gradcheck.json"))
     print(f"gradcheck: f64 max rel err {err64:.3e} (tol {GRADCHECK_TOL_F64:g}), f32 {err32:.3e} (tol {GRADCHECK_TOL_F32:g})")
     if not ok:
         raise EvaluationError(f"gradient check failed: f64 {err64:.3e}, f32 {err32:.3e}")
@@ -586,14 +575,13 @@ class _AblateInputs:
     at call time, so a lookup in the degraded cache is never counted as work.
     """
 
-    def __init__(self, cfg, out_dir, frozen):
+    def __init__(self, cfg, frozen):
         self.cfg = cfg
         self.frozen = frozen
-        manifest, load_clean = _image_sets(cfg, out_dir, "synth")
-        self.pairs = verification_pairs(cfg, manifest)
         self.clean, self.labels = {}, {}
         for split in ("train", "test"):
-            self.clean[split], self.labels[split] = load_clean(manifest.split_images(split))
+            manifest, self.labels[split], self.clean[split] = _image_sets(cfg, split, "synth")
+        self.pairs = verification_pairs(cfg, manifest)
         self.gallery = gallery_embeddings(self.clean["test"], frozen)
         self._degraded = {}
 
@@ -752,7 +740,7 @@ ABLATION_PARTS = {
 }
 
 
-def cmd_ablate(cfg, out_dir=None, fmt="json"):
+def cmd_ablate(cfg, fmt="json"):
     ab = cfg["ablations"]
     parts = ab["parts"]
     unknown = [p for p in parts if p not in ABLATION_PARTS]
@@ -766,7 +754,10 @@ def cmd_ablate(cfg, out_dir=None, fmt="json"):
         _turb_params(cfg, meters=cond.meters)
         if cond.restore is not None and cond.restore.mode == "wiener":
             _check_wiener_psf(cfg)
-    inputs = _AblateInputs(cfg, out_dir, _load_backbone(cfg, out_dir))
+    if "fusion_grid" in parts:  # so does a bad grid switch or grid_epochs, built as the grid's cells build them
+        _fusion_grid_variants(cfg)
+        _train_cfg(cfg, strategy="adapter_joint", epochs=ab["grid_epochs"])
+    inputs = _AblateInputs(cfg, _load_backbone(cfg))
     results = {"command": "ablate", "config_hash": config_hash(cfg), "version": version_string()}
     for section, (_, part) in ABLATION_PARTS.items():
         if section in parts:
@@ -781,7 +772,7 @@ def cmd_ablate(cfg, out_dir=None, fmt="json"):
             if row.get("fidelity_w") is not None:  # one restorer row per blend weight
                 name += f"@{row['fidelity_w']}"
             csv_rows.append((section, name, row.get("accuracy_pct", "")))
-    emit_report(results, _out(cfg, out_dir) / "reports" / "ablate.json", fmt=fmt, csv_rows=csv_rows)
+    emit_report(results, Path(cfg["output_dir"], "reports", "ablate.json"), fmt=fmt, csv_rows=csv_rows)
     return results
 
 
@@ -797,10 +788,8 @@ COMMANDS = {
 }
 
 
-def run(command, cfg, out_dir=None, fmt="json"):
+def run(command, cfg, fmt="json"):
     if command not in COMMANDS:
         raise ContractError(f"unknown command {command!r}; choose from {sorted(COMMANDS)}")
     fn = COMMANDS[command]
-    if command in ("eval", "ablate"):
-        return fn(cfg, out_dir, fmt=fmt)
-    return fn(cfg, out_dir)
+    return fn(cfg, fmt=fmt) if command in ("eval", "ablate") else fn(cfg)

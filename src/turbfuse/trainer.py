@@ -4,9 +4,10 @@ Implements the four strategy baselines: ``baseline_lq`` (no training,
 frozen model on degraded probes), ``eval_restored`` (no training, frozen
 model on restored probes), ``finetune_restored`` (unfreeze a backbone copy
 and train it on restored images only), and ``adapter_joint`` (the full
-dual-branch method). ``strategy_forward`` is each strategy's probe forward,
-shared by training and evaluation; it reads everything but the frozen
-backbone from the strategy's ``TrainResult``. The fusion config enters once,
+dual-branch method); ``TrainConfig`` accepts only these last two, the
+strategies with a state to train. ``strategy_forward`` is each strategy's
+probe forward, shared by training and evaluation; it reads everything but
+the frozen backbone from the strategy's ``TrainResult``. The fusion config enters once,
 in ``init_state``, and travels inside the fusion weights, so a state always
 runs the architecture it was built with. The loop itself is ``optim.fit``, the
 same one ``backbone.pretrain`` runs; this module builds the parameters and
@@ -38,8 +39,8 @@ class TrainConfig(FitConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}")
+        if self.strategy not in TRAINED:
+            raise ConfigError(f"train.strategy must be one of {TRAINED}, got {self.strategy!r}: the baselines train nothing")
 
 
 def forward_framework(lq_images, restored_images, frozen: BackboneParams, hq: BackboneParams | None, fp: FusionParams):
@@ -107,7 +108,7 @@ def train_adapter(
     margin: MarginParams,
     cfg: TrainConfig,
 ):
-    """Run one training strategy; returns params actually trained.
+    """Run one trained strategy (``TrainConfig`` accepts no other); returns params actually trained.
 
     lq_images/restored_images: (N, H, W) arrays aligned with labels.
     Only the HQ branch, fusion structure and classifier head are ever
@@ -115,9 +116,6 @@ def train_adapter(
     strategy. Raises TrainingError on NaN loss, carrying the last
     end-of-epoch checkpoint.
     """
-    if cfg.strategy not in TRAINED:
-        return TrainResult(cfg.strategy, None, None, None, TrainHistory(), 0)
-
     labels = np.asarray(labels)
     n = len(labels)
     if n == 0:

@@ -77,6 +77,31 @@ def test_pipeline_reruns_byte_identical(config_path, tmp_path, capsys):
     assert [rel for rel in files if Path(rel).name == "manifest.json"] == ["dataset/manifest.json"]
 
 
+def test_output_dir_from_the_config_file_set_or_out_writes_the_same_tree(tmp_path, capsys):
+    # a command reads only its config; where it writes is no part of what it computes, reports included
+    def with_config(name, **extra):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**TINY, **extra}))
+        return ["--config", str(path), "--format", "csv"]
+
+    def set_dir(name):
+        return ["--set", f"output_dir={json.dumps(str(tmp_path / name))}"]
+
+    ways = {
+        "file": with_config("file", output_dir=str(tmp_path / "file")),
+        "set": with_config("set") + set_dir("set"),
+        # --out wins over the config file and --set
+        "out": with_config("out", output_dir=str(tmp_path / "lost")) + set_dir("lost") + ["--out", str(tmp_path / "out")],
+    }
+    for argv in ways.values():
+        assert [main([cmd] + argv) for cmd in PIPELINE] == [0] * len(PIPELINE)
+    capsys.readouterr()
+    assert not (tmp_path / "lost").exists()
+    files = tree(tmp_path / "file")
+    assert "reports/eval_adapter_joint_20k.json" in files
+    assert files == tree(tmp_path / "set") == tree(tmp_path / "out")
+
+
 def test_moving_every_artifact_table_entry_moves_every_artifact(config_path, tmp_path, monkeypatch, capsys):
     # harness.ARTIFACTS is the one place an artifact's directory is named: any path built elsewhere stays behind
     moved = {
@@ -295,6 +320,30 @@ def test_degrade_at_a_nearby_intensity_leaves_the_other_set_alone(trained, tmp_p
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["level"] == "20.4k"
     assert sorted(p.name for p in (tmp_path / "degraded").iterdir()) == ["20.4k", "20k"]
     assert tree(tmp_path / "degraded" / "20k") == tree(out / "degraded" / "20k")
+
+
+def test_baseline_lq_eval_reads_no_restored_set(trained, tmp_path, capsys):
+    path, out = trained
+    for sub in ("dataset", "degraded", "pretrain"):
+        shutil.copytree(out / sub, tmp_path / "without" / sub)
+    shutil.copytree(tmp_path / "without", tmp_path / "with")
+    shutil.copytree(out / "restored", tmp_path / "with" / "restored")
+    argv = ["eval", "--config", str(path), "--format", "csv", "--set", "train.strategy=baseline_lq"]
+    for sub in ("with", "without"):
+        assert main(argv + ["--out", str(tmp_path / sub)]) == 0
+    capsys.readouterr()
+    assert tree(tmp_path / "without" / "reports") == tree(tmp_path / "with" / "reports")
+    # nor one made under another restorer
+    assert main(argv + ["--out", str(tmp_path / "with"), "--set", "restore.fidelity_w=0.25"]) == 0
+
+
+@pytest.mark.parametrize("strategy", ["baseline_lq", "eval_restored"])
+def test_train_of_a_baseline_exits_2_before_reading(config_path, tmp_path, strategy, capsys):
+    # the output directory is empty: reading anything would exit 3 instead
+    argv = ["train", "--config", str(config_path), "--out", str(tmp_path), "--set", f"train.strategy={strategy}"]
+    assert main(argv) == 2
+    assert "train.strategy" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
 
 
 def test_a_larger_test_split_reuses_the_backbone_and_checkpoint(trained, tmp_path, capsys):
@@ -668,8 +717,28 @@ def test_unknown_ablation_part_exits_2_before_loading(config_path, tmp_path, cap
             + ["turbulence.kernel_size=7"],
             "fidelity_w",
         ),
+        # a bad fusion-grid switch or grid_epochs: the grid runs after table3, which trains
+        *(
+            ([f"ablations.parts={json.dumps(ABLATION_PARTS)}", bad, "turbulence.kernel_size=7"], named)
+            for bad, named in (
+                ("ablations.cascade=[0]", "cascade_depth"),
+                ('ablations.role_variants=["z"]', "role_variant"),
+                ('ablations.attention_order=["x"]', "attention_order"),
+                ("ablations.grid_epochs=0", "epochs"),
+            )
+        ),
     ],
-    ids=["zero_rung", "zero_table3_intensity", "no_table3_seeds", "zero_rung_after_other_parts", "bad_restore_w"],
+    ids=[
+        "zero_rung",
+        "zero_table3_intensity",
+        "no_table3_seeds",
+        "zero_rung_after_other_parts",
+        "bad_restore_w",
+        "zero_grid_cascade",
+        "bad_grid_role_variant",
+        "bad_grid_attention_order",
+        "zero_grid_epochs",
+    ],
 )
 def test_ablate_with_a_zero_intensity_or_no_seeds_exits_2(trained, tmp_path, sets, named, monkeypatch, capsys):
     # a 0 m level used to run at the default 20 km, and no seeds wrote NaN means
@@ -689,3 +758,17 @@ def test_ablate_with_a_zero_intensity_or_no_seeds_exits_2(trained, tmp_path, set
     assert named in capsys.readouterr().err
     assert trained_strategies == []
     assert not (tmp_path / "reports" / "ablate.json").exists()
+
+
+def test_ablate_under_a_baseline_train_strategy_runs(trained, tmp_path, capsys):
+    # every cell that trains names its own strategy; the run's train.strategy trains nothing here
+    path, out = trained
+    for sub in ("dataset", "pretrain"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    sets = ['ablations.parts=["table3", "fusion_grid"]', "ablations.table3_seeds=[0]", "ablations.residual=[true]"]
+    sets += ["ablations.cascade=[1]", 'ablations.attention_order=["cross_first"]', 'ablations.role_variants=["d"]']
+    argv = ["ablate", "--config", str(path), "--out", str(tmp_path), "--set", "train.strategy=baseline_lq"]
+    assert main(argv + [a for s in sets for a in ("--set", s)]) == 0
+    report = json.loads((tmp_path / "reports" / "ablate.json").read_text())
+    assert [r["strategy"] for r in report["table3"]["rows"]] == list(harness.STRATEGIES)
+    assert [r["variant"] for r in report["fusion_grid"]["rows"]] == ["residual=True"]

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -64,6 +65,13 @@ class TestMadeUnder:
             value = DEFAULTS[section][key] if key else DEFAULTS[entry]
             want.update({f"{entry}.{k}": v for k, v in value.items()} if isinstance(value, dict) else {entry: value})
         assert harness._made_under(DEFAULTS, cmd) == want
+
+
+def test_every_command_takes_only_its_config():
+    # the output directory is the config's output_dir; eval and ablate also take the report format
+    for name, fn in harness.COMMANDS.items():
+        want = ["cfg", "fmt"] if name in ("eval", "ablate") else ["cfg"]
+        assert list(inspect.signature(fn).parameters) == want, name
 
 
 class TestLevelTag:
@@ -138,14 +146,11 @@ class TestCheckpointRoundTrip:
         # variant b's fusion never reads the restored branch, so nothing trains or stores one
         names = json.loads((tmp_path / "train" / strategy / "checkpoint" / "index.json").read_text())
         assert any(k.startswith("hq.") for k in names) == (variant != "b")
-        frozen = harness._load_backbone(tiny_cfg, None)
-        loaded = harness._load_train_result(tiny_cfg, None, frozen)
+        frozen = harness._load_backbone(tiny_cfg)
+        loaded = harness._load_train_result(tiny_cfg, frozen)
         assert loaded.tensors().keys() == trained[0].tensors().keys()
 
-        manifest, load_degraded, load_restored = harness._image_sets(tiny_cfg, None, "degrade", "restore")
-        entries = manifest.split_images("test")
-        lq, _ = load_degraded(entries)
-        restored, _ = load_restored(entries)
+        _, _, lq, restored = harness._image_sets(tiny_cfg, "test", "degrade", "restore")
         want = probe_embeddings(strategy, lq, restored, frozen, trained[0])
         got = probe_embeddings(strategy, lq, restored, frozen, loaded)
         assert got.tobytes() == want.tobytes()
@@ -158,19 +163,16 @@ class TestEvaluateStrategy:
         tiny_cfg["eval"].update(n_genuine_pairs=12, n_impostor_pairs=12, n_folds=4)
         for cmd in (cmd_synth, cmd_degrade, cmd_restore, cmd_pretrain):
             cmd(tiny_cfg)
-        frozen = harness._load_backbone(tiny_cfg, None)
-        manifest, load_clean, load_degraded, load_restored = harness._image_sets(tiny_cfg, None, "synth", "degrade", "restore")
-        train, test = manifest.split_images("train"), manifest.split_images("test")
+        frozen = harness._load_backbone(tiny_cfg)
+        _, labels, lq, restored = harness._image_sets(tiny_cfg, "train", "degrade", "restore")
+        manifest, labels_test, clean_test, lq_test, restored_test = harness._image_sets(
+            tiny_cfg, "test", "synth", "degrade", "restore"
+        )
         deep_cfg = json.loads(json.dumps(tiny_cfg))
         deep_cfg["fusion"]["cascade_depth"] = 3
-        lq, labels = load_degraded(train)
-        restored, _ = load_restored(train)
         args = (frozen, harness._fusion_cfg(deep_cfg), harness._margin(tiny_cfg), harness._train_cfg(tiny_cfg))
         result = harness.train_adapter(lq, restored, labels, *args)
 
-        clean_test, labels_test = load_clean(test)
-        lq_test, _ = load_degraded(test)
-        restored_test, _ = load_restored(test)
         gallery = harness.gallery_embeddings(clean_test, frozen)
         pairs = harness.verification_pairs(tiny_cfg, manifest)
 

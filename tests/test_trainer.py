@@ -138,15 +138,11 @@ class TestTrainAdapter:
         train_adapter(lq, restored, labels, frozen, fcfg, MarginParams(s=8.0), cfg)
         assert frozen.state_bytes() == before
 
-    def test_baseline_strategies_take_zero_steps(self):
-        rng = np.random.default_rng(4)
-        lq, restored, labels = setup_data(rng)
-        frozen, fcfg = setup_models(rng)
-        for strategy in ("baseline_lq", "eval_restored"):
-            cfg = TrainConfig(strategy=strategy)
-            res = train_adapter(lq, restored, labels, frozen, fcfg, MarginParams(), cfg)
-            assert res.optimizer_steps == 0
-            assert res.hq is None
+    @pytest.mark.parametrize("strategy", ["baseline_lq", "eval_restored"])
+    def test_train_config_rejects_the_baselines(self, strategy):
+        # the baselines have no state to train: a train config for one is a config error, not zero steps
+        with pytest.raises(ConfigError, match=f"train.strategy .*{strategy}"):
+            TrainConfig(strategy=strategy)
 
     def test_adapter_loss_decreases(self):
         rng = np.random.default_rng(5)
