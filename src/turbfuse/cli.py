@@ -17,7 +17,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, ContractError, DependencyError, EvaluationError, TrainingError
-from .harness import COMMANDS, run
+from .harness import COMMANDS
 
 
 def build_parser():
@@ -28,7 +28,6 @@ def build_parser():
         "--set", dest="sets", action="append", default=[], metavar="KEY=VALUE", help="override section.key=value"
     )
     parser.add_argument("--out", default=None, help="output directory (sets output_dir, over --config and --set)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json", help="also emit CSV tables")
     return parser
 
 
@@ -38,7 +37,7 @@ def main(argv=None):
         cfg = load_config(args.config, sets=args.sets)
         if args.out:
             cfg["output_dir"] = args.out
-        result = run(args.command, cfg, fmt=args.format)
+        result = COMMANDS[args.command](cfg)
     except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

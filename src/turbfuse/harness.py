@@ -28,9 +28,11 @@ whole one in after the last, so one that dies partway leaves an artifact
 that exits 3 before any of it is parsed. A checkpoint holds exactly the
 name -> Tensor dict ``optim.fit`` trains; a diverged run's last good one goes
 to ``diverged/`` beside it. Reports (histories, provenance.json, reports/)
-are never read back. A trained state's fusion weights carry the fusion
-config they were built for, so ``evaluate_strategy`` runs that architecture,
-whatever the run config.
+are never read back; ``eval`` and ``ablate`` write each of theirs as JSON
+plus a CSV table beside it (eval's: the score and label of every pair, in
+pair order). A trained state's fusion weights carry the fusion config they
+were built for, so ``evaluate_strategy`` runs that architecture, whatever
+the run config.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import dataclasses
 import json
 import os
 import subprocess
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -50,7 +53,7 @@ from . import tensor as T
 from .backbone import BackboneConfig, BackboneParams, embed, pretrain
 from .config import config_hash
 from .datagen import GENERATOR_VERSION, DatasetManifest, check_dataset, load_images, make_pairs, synth_dataset
-from .errors import ConfigError, ContractError, DependencyError, EvaluationError, TrainingError
+from .errors import ConfigError, DependencyError, EvaluationError, TrainingError
 from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .metrics import ScoreSet, VerificationReport, tar_at_far, top_k_hits, verification_accuracy
@@ -90,20 +93,15 @@ def version_string():
     return f"turbfuse {__version__}" + (f" ({suffix})" if suffix else "")
 
 
-def emit_report(results, path, fmt="json", csv_rows=None):
-    """Write a machine-readable report; JSON always, CSV on request."""
+def emit_report(results, path, csv_lines=()):
+    """Write ``results`` as JSON to ``path``, and any ``csv_lines`` (header first) as the CSV beside it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if fmt == "csv":
-        if csv_rows is None:
-            raise ContractError("csv output requested but no rows provided")
-        csv_path = path.with_suffix(".csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            for row in csv_rows:
-                fh.write(",".join(str(c) for c in row) + "\n")
+    if csv_lines:
+        path.with_suffix(".csv").write_text("".join(f"{line}\n" for line in csv_lines), encoding="utf-8")
     return path
 
 
@@ -323,10 +321,11 @@ def _keeping_diverged(dest):
 
 
 def cmd_pretrain(cfg):
+    b = cfg["backbone"]
+    # a meaningless schedule exits 2 before any artifact is read
+    fit_cfg = FitConfig(batch_size=b["batch_size"], epochs=b["epochs"], lr_base=b["lr"], warmup_steps=b["warmup_steps"])
     parent = _artifact(cfg, "pretrain").parent
     _, labels, images = _image_sets(cfg, "train", "synth")
-    b = cfg["backbone"]
-    fit_cfg = FitConfig(batch_size=b["batch_size"], epochs=b["epochs"], lr_base=b["lr"], warmup_steps=b["warmup_steps"])
     with _keeping_diverged(parent):
         result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), fit_cfg, seed=cfg["seed"])
     with _recording(cfg, "pretrain") as dest:
@@ -451,9 +450,11 @@ def evaluate_strategy(cfg, strategy, pairs, frozen, result, gallery_embs, lq_tes
     return report, score_set
 
 
-def cmd_eval(cfg, fmt="json"):
+def cmd_eval(cfg):
     tag = level_tag(cfg["turbulence"]["intensity_meters"])
     strategy = cfg["train"]["strategy"]
+    if strategy not in STRATEGIES:  # before any artifact is read
+        raise ConfigError(f"train.strategy must be one of {STRATEGIES}, got {strategy!r}")
     # baseline_lq reads no restored image; every strategy loads the degraded set, whose length is the probe count
     sets = ("synth", "degrade") if strategy == "baseline_lq" else ("synth", "degrade", "restore")
     manifest, labels_test, clean_test, lq_test, *restored = _image_sets(cfg, "test", *sets)
@@ -474,10 +475,9 @@ def cmd_eval(cfg, fmt="json"):
         "config_hash": config_hash(cfg),
         "version": version_string(),
     }
-    csv_rows = [("pair_id", "score", "label")] + [
-        (i, f"{s:.6f}", int(l)) for i, (s, l) in enumerate(zip(score_set.scores, score_set.labels))
-    ]
-    emit_report(payload, Path(cfg["output_dir"], "reports", f"eval_{strategy}_{tag}.json"), fmt=fmt, csv_rows=csv_rows)
+    rows = enumerate(zip(score_set.scores.tolist(), score_set.labels.tolist()))
+    csv_lines = ["pair_id,score,label", *(f"{i},{s:.6f},{l:d}" for i, (s, l) in rows)]
+    emit_report(payload, Path(cfg["output_dir"], "reports", f"eval_{strategy}_{tag}.json"), csv_lines)
     return payload
 
 
@@ -527,8 +527,6 @@ def gradcheck_fusion(fcfg: FusionConfig, samples_per_tensor):
 
 
 def cmd_gradcheck(cfg):
-    import time
-
     t0 = time.time()
     err64, err32, ok = gradcheck_fusion(FusionConfig(d_model=16, ffn_hidden=32), samples_per_tensor=4)
     elapsed = time.time() - t0
@@ -542,7 +540,6 @@ def cmd_gradcheck(cfg):
         "passed": ok,
     }
     emit_report(payload, Path(cfg["output_dir"], "reports", "gradcheck.json"))
-    print(f"gradcheck: f64 max rel err {err64:.3e} (tol {GRADCHECK_TOL_F64:g}), f32 {err32:.3e} (tol {GRADCHECK_TOL_F32:g})")
     if not ok:
         raise EvaluationError(f"gradient check failed: f64 {err64:.3e}, f32 {err32:.3e}")
     return payload
@@ -740,7 +737,7 @@ ABLATION_PARTS = {
 }
 
 
-def cmd_ablate(cfg, fmt="json"):
+def cmd_ablate(cfg):
     ab = cfg["ablations"]
     parts = ab["parts"]
     unknown = [p for p in parts if p not in ABLATION_PARTS]
@@ -763,7 +760,7 @@ def cmd_ablate(cfg, fmt="json"):
         if section in parts:
             results[section] = part(inputs, conditions[section])
 
-    csv_rows = [("section", "name", "accuracy_pct")]
+    csv_lines = ["section,name,accuracy_pct"]
     for section in ABLATION_PARTS:
         if section not in results:
             continue
@@ -771,8 +768,8 @@ def cmd_ablate(cfg, fmt="json"):
             name = row.get("strategy") or row.get("variant") or row.get("level") or row["mode"]
             if row.get("fidelity_w") is not None:  # one restorer row per blend weight
                 name += f"@{row['fidelity_w']}"
-            csv_rows.append((section, name, row.get("accuracy_pct", "")))
-    emit_report(results, Path(cfg["output_dir"], "reports", "ablate.json"), fmt=fmt, csv_rows=csv_rows)
+            csv_lines.append(f"{section},{name},{row.get('accuracy_pct', '')}")
+    emit_report(results, Path(cfg["output_dir"], "reports", "ablate.json"), csv_lines)
     return results
 
 
@@ -786,10 +783,3 @@ COMMANDS = {
     "ablate": cmd_ablate,
     "gradcheck": cmd_gradcheck,
 }
-
-
-def run(command, cfg, fmt="json"):
-    if command not in COMMANDS:
-        raise ContractError(f"unknown command {command!r}; choose from {sorted(COMMANDS)}")
-    fn = COMMANDS[command]
-    return fn(cfg, fmt=fmt) if command in ("eval", "ablate") else fn(cfg)

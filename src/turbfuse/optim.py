@@ -74,6 +74,10 @@ class FitConfig:
             raise ConfigError(f"batch_size and epochs must be at least 1, got {self.batch_size} and {self.epochs}")
         if self.lr_base <= 0:
             raise ConfigError("lr_base must be positive")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps must be nonnegative (0 means no warmup), got {self.warmup_steps}")
+        if self.poly_power < 0:
+            raise ConfigError(f"poly_power must be nonnegative (0 means a constant rate), got {self.poly_power}")
 
 
 @dataclass

@@ -63,7 +63,10 @@ class TrainResult:
     fusion_params: FusionParams | None
     head: ClassifierHead | None
     history: TrainHistory
-    optimizer_steps: int
+
+    @property
+    def optimizer_steps(self):
+        return len(self.history.steps)
 
     def tensors(self):
         """The trained tensors by checkpoint name: ``hq.*``, ``fusion.*``, ``head.weights``."""
@@ -82,7 +85,7 @@ def init_state(strategy, frozen: BackboneParams, fusion_cfg: FusionConfig, n_cla
     hq = frozen.clone(trainable=True) if live else None
     head = ClassifierHead.init(rng, n_classes, frozen.cfg.embed_dim)
     fusion_params = FusionParams.init(rng, fusion_cfg) if strategy == "adapter_joint" else None
-    return TrainResult(strategy, hq, fusion_params, head, TrainHistory(), 0)
+    return TrainResult(strategy, hq, fusion_params, head, TrainHistory())
 
 
 def strategy_forward(strategy, lq_images, restored_images, frozen: BackboneParams, state: TrainResult | None):
@@ -129,7 +132,6 @@ def train_adapter(
         return angular_margin_loss(feats, labels[idx], state.head, margin)
 
     state.history = fit(state.tensors(), batch_loss, n, rng, cfg, cfg.strategy)
-    state.optimizer_steps = len(state.history.steps)
     return state
 
 

@@ -15,7 +15,7 @@ import pytest
 import turbfuse
 from turbfuse import datagen, harness, tensorio
 from turbfuse.cli import main
-from turbfuse.config import DEFAULTS
+from turbfuse.config import DEFAULTS, load_config
 from turbfuse.datagen import DatasetManifest, load_images
 from turbfuse.tensorio import load_bundle, save_bundle
 
@@ -38,7 +38,7 @@ def config_path(tmp_path):
 
 
 def run_pipeline(config_path, out):
-    codes = [main([cmd, "--config", str(config_path), "--out", str(out), "--format", "csv"]) for cmd in PIPELINE]
+    codes = [main([cmd, "--config", str(config_path), "--out", str(out)]) for cmd in PIPELINE]
     assert codes == [0] * len(PIPELINE)
     return out / "reports" / "eval_adapter_joint_20k.json"
 
@@ -82,7 +82,7 @@ def test_output_dir_from_the_config_file_set_or_out_writes_the_same_tree(tmp_pat
     def with_config(name, **extra):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**TINY, **extra}))
-        return ["--config", str(path), "--format", "csv"]
+        return ["--config", str(path)]
 
     def set_dir(name):
         return ["--set", f"output_dir={json.dumps(str(tmp_path / name))}"]
@@ -210,7 +210,7 @@ def test_finetune_restored_checkpoint_does_not_depend_on_the_fusion_config(train
     path, out = trained
     for sub in ("dataset", "degraded", "restored", "pretrain"):
         shutil.copytree(out / sub, tmp_path / sub)
-    argv = ["--config", str(path), "--out", str(tmp_path), "--format", "csv", "--set", "train.strategy=finetune_restored"]
+    argv = ["--config", str(path), "--out", str(tmp_path), "--set", "train.strategy=finetune_restored"]
     assert main(["train"] + argv) == 0
     record = json.loads((tmp_path / "train" / "finetune_restored" / "checkpoint" / "made_under.json").read_text())
     assert "train.strategy" in record and not any(k.startswith("fusion.") for k in record)
@@ -328,7 +328,7 @@ def test_baseline_lq_eval_reads_no_restored_set(trained, tmp_path, capsys):
         shutil.copytree(out / sub, tmp_path / "without" / sub)
     shutil.copytree(tmp_path / "without", tmp_path / "with")
     shutil.copytree(out / "restored", tmp_path / "with" / "restored")
-    argv = ["eval", "--config", str(path), "--format", "csv", "--set", "train.strategy=baseline_lq"]
+    argv = ["eval", "--config", str(path), "--set", "train.strategy=baseline_lq"]
     for sub in ("with", "without"):
         assert main(argv + ["--out", str(tmp_path / sub)]) == 0
     capsys.readouterr()
@@ -346,10 +346,32 @@ def test_train_of_a_baseline_exits_2_before_reading(config_path, tmp_path, strat
     assert not (tmp_path / "train").exists()
 
 
+def test_eval_of_an_unknown_strategy_exits_2_before_reading(config_path, tmp_path, capsys):
+    # the output directory is empty: reading anything would exit 3 instead
+    argv = ["eval", "--config", str(config_path), "--out", str(tmp_path), "--set", "train.strategy=foo"]
+    assert main(argv) == 2
+    assert "train.strategy" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_eval_writes_the_score_and_label_of_every_pair(trained):
+    # beside the JSON report, one CSV row per verification pair, in the order make_pairs draws them
+    path, out = trained
+    cfg = load_config(str(path))
+    manifest = DatasetManifest.load(out / "dataset" / "manifest.json")
+    e = cfg["eval"]
+    pairs = datagen.make_pairs(manifest, "test", e["n_genuine_pairs"], e["n_impostor_pairs"], seed=cfg["seed"])
+    header, *rows = (out / "reports" / "eval_adapter_joint_20k.csv").read_text().splitlines()
+    assert header == "pair_id,score,label"
+    assert [r.split(",")[0] for r in rows] == [str(i) for i in range(len(pairs))]
+    assert [r.split(",")[2] for r in rows] == [str(int(p.genuine)) for p in pairs]
+    assert all(len(r.split(",")[1].partition(".")[2]) == 6 for r in rows)
+
+
 def test_a_larger_test_split_reuses_the_backbone_and_checkpoint(trained, tmp_path, capsys):
     # test identities are numbered after the train ones, so no train-side byte depends on the test split
     path, out = trained
-    argv = ["--config", str(path), "--format", "csv", "--set", "dataset.n_test_identities=6"]
+    argv = ["--config", str(path), "--set", "dataset.n_test_identities=6"]
     grown, fresh = tmp_path / "grown", tmp_path / "fresh"
     checkpoints = ("pretrain/backbone", "train/adapter_joint/checkpoint")
     for sub in checkpoints:
@@ -514,16 +536,20 @@ def test_the_image_commands_run_without_scipy_installed(tmp_path):
         ("synth", "dataset.image_size", "-4"),
         ("synth", "dataset.image_size", "0"),
         ("restore", "restore.artifact_smooth_px", "-1"),  # would write unsmoothed white-noise artifacts
+        ("train", "train.poly_power", "-1"),  # the rate would grow toward the last step
+        ("train", "train.warmup_steps", "-5"),  # would skip the warmup
+        ("pretrain", "backbone.warmup_steps", "-1"),
     ],
 )
 def test_meaningless_config_value_exits_2_before_writing(trained, tmp_path, cmd, key, value, capsys):
     # each would otherwise end in a traceback or in meaningless artifacts
     path, out = trained
-    for sub in {"synth": (), "restore": ("dataset", "degraded")}.get(cmd, ("dataset",)):
+    inputs = {"synth": (), "restore": ("dataset", "degraded"), "train": ("dataset", "degraded", "restored", "pretrain")}
+    for sub in inputs.get(cmd, ("dataset",)):
         shutil.copytree(out / sub, tmp_path / sub)
     assert main([cmd, "--config", str(path), "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
     assert key.split(".")[1] in capsys.readouterr().err
-    written = {"synth": "dataset", "degrade": "degraded", "restore": "restored", "pretrain": "pretrain"}[cmd]
+    written = {"synth": "dataset", "degrade": "degraded", "restore": "restored", "pretrain": "pretrain", "train": "train"}[cmd]
     assert not (tmp_path / written).exists()
 
 
@@ -592,7 +618,7 @@ ABLATION_PARTS = ["table3", "fusion_grid", "restorer", "intensity"]
 def run_ablate(path, out, parts):
     # wiener restoration needs a PSF no larger than the 16-px image
     sets = [f"ablations.parts={json.dumps(parts)}", "ablations.table3_seeds=[0, 1]", "turbulence.kernel_size=7"]
-    argv = ["ablate", "--config", str(path), "--out", str(out), "--format", "csv"]
+    argv = ["ablate", "--config", str(path), "--out", str(out)]
     assert main(argv + [a for s in sets for a in ("--set", s)]) == 0
     return json.loads((out / "reports" / "ablate.json").read_text())
 

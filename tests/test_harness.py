@@ -68,10 +68,9 @@ class TestMadeUnder:
 
 
 def test_every_command_takes_only_its_config():
-    # the output directory is the config's output_dir; eval and ablate also take the report format
+    # the output directory is the config's output_dir; eval and ablate always write JSON and CSV
     for name, fn in harness.COMMANDS.items():
-        want = ["cfg", "fmt"] if name in ("eval", "ablate") else ["cfg"]
-        assert list(inspect.signature(fn).parameters) == want, name
+        assert list(inspect.signature(fn).parameters) == ["cfg"], name
 
 
 class TestLevelTag:

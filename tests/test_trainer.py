@@ -144,6 +144,13 @@ class TestTrainAdapter:
         with pytest.raises(ConfigError, match=f"train.strategy .*{strategy}"):
             TrainConfig(strategy=strategy)
 
+    @pytest.mark.parametrize("field", ["warmup_steps", "poly_power"])
+    def test_fit_config_rejects_a_negative_schedule(self, field):
+        # zero means no warmup, or a constant rate; below zero warmup is skipped or the rate grows
+        FitConfig(**{field: 0})
+        with pytest.raises(ConfigError, match=field):
+            FitConfig(**{field: -1})
+
     def test_adapter_loss_decreases(self):
         rng = np.random.default_rng(5)
         # identity-structured data so there is something to learn
