@@ -22,7 +22,7 @@ from .tensor import Tensor
 
 @dataclass
 class BackboneConfig:
-    image_size: int = 64
+    image_size: int
     channels: tuple = (8, 16, 32)
     kernel: int = 3
     embed_dim: int = 64
@@ -31,6 +31,8 @@ class BackboneConfig:
         self.channels = tuple(int(c) for c in self.channels)
         if not self.channels or min(self.channels) < 1:
             raise ConfigError(f"channels must list at least one positive width, got {list(self.channels)}")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be at least 1, got {self.embed_dim}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError("kernel must be positive and odd (same-padding conv)")
         if self.image_size % (2 ** len(self.channels)):

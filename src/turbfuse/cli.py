@@ -5,8 +5,9 @@
 ``--out`` sets the config's output_dir, over the config file and ``--set``.
 
 Commands: synth, degrade, restore, pretrain, train, eval, ablate,
-gradcheck. Exit codes: 0 success, 2 config error, 3 missing upstream
-artifact, 4 numerical failure.
+gradcheck. Exit codes: 0 success, 2 config error, 3 upstream artifact
+missing, made under another config or damaged (the message names the
+command that rewrites it), 4 numerical failure.
 """
 
 from __future__ import annotations

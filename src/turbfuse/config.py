@@ -2,76 +2,68 @@
 
 Every experiment is fully described by (config, seed); commands take only
 the config path plus ``--set section.key=value`` overrides (and ``--out``,
-which sets ``output_dir``), so ablations stay reproducible. Unknown sections or keys are rejected with the exact
-key path.
+which sets ``output_dir``), so ablations stay reproducible. Unknown sections
+or keys are rejected with the exact key path.
+
+Six sections hold the fields of the dataclass that reads them, with its
+field defaults, stated there only; each has a builder here, the one place
+a run config becomes that dataclass:
+
+    turbulence  turbsim.TurbulenceParams  turbulence_params
+    restore     restore.RestoreConfig     restore_config
+    backbone    backbone.BackboneConfig   backbone_config
+                optim.FitConfig           pretrain_config (``lr`` sets ``lr_base``)
+    fusion      fusion.FusionConfig       fusion_config
+    loss        margin.MarginParams       margin_params
+    train       trainer.TrainConfig       train_config
+
+Their fields ``image_size``, ``d_model`` and ``seed`` are no keys: the
+builders take them from ``dataset.image_size``, ``backbone.embed_dim``
+(which sets the default ``fusion.ffn_hidden`` too) and ``seed``.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 
+from .backbone import BackboneConfig
 from .errors import ConfigError
-from .turbsim import DEFAULT_APERTURE, DEFAULT_CN2, DEFAULT_WAVELENGTH, INTENSITY_LEVELS
+from .fusion import FusionConfig
+from .margin import MarginParams
+from .optim import FitConfig
+from .restore import RestoreConfig
+from .trainer import TrainConfig
+from .turbsim import INTENSITY_LEVELS, TurbulenceParams, init_params
+
+# backbone-section key -> the field of pretraining's ``FitConfig`` it sets
+_PRETRAIN_SCHEDULE = {"epochs": "epochs", "batch_size": "batch_size", "lr": "lr_base", "warmup_steps": "warmup_steps"}
+
+
+def _section(obj, *drop):
+    """The fields of dataclass ``obj`` but ``drop`` as a config section, tuples as lists."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in drop}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+
+_DATASET = {"n_identities": 64, "per_identity": 50, "n_test_identities": 16, "test_per_identity": 20, "image_size": 64}
+_BACKBONE = BackboneConfig(image_size=_DATASET["image_size"])
 
 DEFAULTS = {
     "seed": 0,
     "output_dir": "runs/default",
-    "dataset": {
-        "n_identities": 64,
-        "per_identity": 50,
-        "n_test_identities": 16,
-        "test_per_identity": 20,
-        "image_size": 64,
-    },
-    "turbulence": {
-        "intensity_meters": 20000.0,
-        "aperture_diameter": DEFAULT_APERTURE,
-        "wavelength": DEFAULT_WAVELENGTH,
-        "cn2": DEFAULT_CN2,
-        "n_zernike": 33,
-        "outer_scale_m": 10.0,
-        "pixel_pitch_m": 0.05,
-        "fft_size": 96,
-        "pupil_px": 32,
-        "kernel_size": 23,
-    },
-    "restore": {
-        "mode": "oracle_blend",
-        "fidelity_w": 0.5,
-        "artifact_sigma": 0.02,
-        "artifact_smooth_px": 3.0,
-        "wiener_nsr": 0.01,
-    },
+    "dataset": _DATASET,
+    "turbulence": _section(TurbulenceParams(image_size=_DATASET["image_size"]), "image_size"),
+    "restore": _section(RestoreConfig()),
     "backbone": {
-        "channels": [8, 16, 32],
-        "kernel": 3,
-        "embed_dim": 64,
-        "epochs": 5,
-        "batch_size": 32,
-        "lr": 0.02,
-        "warmup_steps": 50,
+        **_section(_BACKBONE, "image_size"),
+        **{key: getattr(FitConfig(), field) for key, field in _PRETRAIN_SCHEDULE.items()},
     },
-    "fusion": {
-        "ffn_hidden": 256,
-        "attention_order": "cross_first",
-        "role_variant": "d",
-        "cascade_depth": 1,
-        "use_residual": True,
-        "block_norm": True,
-    },
-    "loss": {"m1": 1.0, "m2": 0.5, "m3": 0.0, "s": 16.0},
-    "train": {
-        "batch_size": 32,
-        "epochs": 5,
-        "lr_base": 0.02,
-        "momentum": 0.9,
-        "weight_decay": 0.0005,
-        "warmup_steps": 50,
-        "poly_power": 0.9,
-        "strategy": "adapter_joint",
-    },
+    "fusion": _section(FusionConfig(d_model=_BACKBONE.embed_dim), "d_model"),
+    "loss": _section(MarginParams()),
+    "train": _section(TrainConfig(), "seed"),
     "eval": {
         "n_folds": 10,
         "far_points": [0.01, 0.1],
@@ -173,3 +165,43 @@ def config_hash(cfg):
     body = {k: v for k, v in cfg.items() if k != "output_dir"}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
+
+# -- builders: each section's dataclass from a run config ----------------------
+
+
+def turbulence_params(cfg, meters=None):
+    """The run's turbulence at ``meters`` (its own intensity if None)."""
+    t = cfg["turbulence"]
+    overrides = {k: v for k, v in t.items() if k != "intensity_meters"}
+    return init_params(t["intensity_meters"] if meters is None else meters, cfg["dataset"]["image_size"], overrides)
+
+
+def restore_config(cfg, **overrides):
+    """The run's restorer with ``overrides``; Wiener's deconvolution PSF must fit in the image."""
+    rcfg = RestoreConfig(**{**cfg["restore"], **overrides})
+    k, size = cfg["turbulence"]["kernel_size"], cfg["dataset"]["image_size"]
+    if rcfg.mode == "wiener" and k > size:
+        raise ConfigError(f"wiener restoration needs turbulence.kernel_size ({k}) <= dataset.image_size ({size})")
+    return rcfg
+
+
+def backbone_config(cfg):
+    b = {k: v for k, v in cfg["backbone"].items() if k not in _PRETRAIN_SCHEDULE}
+    return BackboneConfig(image_size=cfg["dataset"]["image_size"], **b)
+
+
+def pretrain_config(cfg):
+    """Pretraining's schedule, from the backbone section."""
+    return FitConfig(**{field: cfg["backbone"][key] for key, field in _PRETRAIN_SCHEDULE.items()})
+
+
+def fusion_config(cfg):
+    return FusionConfig(d_model=cfg["backbone"]["embed_dim"], **cfg["fusion"])
+
+
+def margin_params(cfg):
+    return MarginParams(**cfg["loss"])
+
+
+def train_config(cfg, **overrides):
+    return TrainConfig(**{**cfg["train"], "seed": cfg["seed"], **overrides})

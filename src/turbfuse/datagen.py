@@ -114,12 +114,14 @@ def render(identity: IdentitySpec, jitter_seed, image_size):
     return (0.5 + 0.45 * np.tanh(raw)).astype(np.float64)
 
 
-def check_dataset(n_identities, per_identity, image_size):
+def check_dataset(n_identities, per_identity, image_size, n_test_identities=0, test_per_identity=None):
     """Raise unless ``synth_dataset`` can render a dataset of this shape."""
     if n_identities < 4 or per_identity < 2:
         raise ContractError("need n_identities >= 4 and per_identity >= 2")
     if image_size < 1:
         raise ContractError(f"image_size must be positive, got {image_size}")
+    if n_test_identities < 0 or (test_per_identity is not None and test_per_identity < 1):
+        raise ContractError("need n_test_identities >= 0 and test_per_identity >= 1")
 
 
 def synth_dataset(
@@ -138,7 +140,7 @@ def synth_dataset(
     after them, so the zero-shot contract (disjoint identity sets) holds by
     construction. Returns the saved DatasetManifest.
     """
-    check_dataset(n_identities, per_identity, image_size)
+    check_dataset(n_identities, per_identity, image_size, n_test_identities, test_per_identity)
     if test_per_identity is None:
         test_per_identity = per_identity
 

@@ -15,8 +15,8 @@ the config's ``output_dir`` before the command runs. Artifacts live under
 that directory, each at the directory ``ARTIFACTS`` gives the command that
 writes it. A command reads them through ``_image_sets``, which loads each
 image set of one split as one stack, or ``_load_state``; both raise
-DependencyError naming the command to (re-)run when the artifact is missing
-or does not fit the config.
+DependencyError naming the command to (re-)run when the artifact is missing,
+does not fit the config or holds a file that does not parse.
 Only the dataset holds a ``manifest.json``; the degraded and restored sets
 hold the same image paths. Each artifact holds ``made_under.json``: the
 generator version and the ``ARTIFACTS`` entries of the config it was made
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -51,18 +52,19 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .backbone import BackboneConfig, BackboneParams, embed, pretrain
-from .config import config_hash
+from .config import backbone_config, config_hash, fusion_config, margin_params, pretrain_config
+from .config import restore_config, train_config, turbulence_params
 from .datagen import GENERATOR_VERSION, DatasetManifest, check_dataset, load_images, make_pairs, synth_dataset
 from .errors import ConfigError, DependencyError, EvaluationError, TrainingError
 from .fusion import FusionConfig, FusionParams, fuse
 from .margin import ClassifierHead, MarginParams, angular_margin_loss
 from .metrics import ScoreSet, VerificationReport, tar_at_far, top_k_hits, verification_accuracy
-from .optim import FitConfig, finite_diff_check
+from .optim import finite_diff_check
 from .restore import RestoreConfig, restore
 from .tensor import Tensor
 from .tensorio import load_bundle, save_bundle, save_tensor
-from .trainer import STRATEGIES, TRAINED, TrainConfig, init_state, probe_embeddings, train_adapter
-from .turbsim import degradation_psf, degrade, init_params
+from .trainer import STRATEGIES, TRAINED, init_state, probe_embeddings, train_adapter
+from .turbsim import degradation_psf, degrade
 
 
 def level_tag(meters):
@@ -76,9 +78,10 @@ def pct(x):
     return f"{100.0 * x:.3f}"
 
 
+@functools.cache
 def version_string():
-    """Package version plus ``git describe`` of the checkout the package
-    lives in, whatever the process's working directory."""
+    """Package version plus ``git describe`` of the package's checkout,
+    whatever the working directory; computed once per process."""
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -159,6 +162,14 @@ def _recording(cfg, command):
     os.replace(tmp, dest / "made_under.json")
 
 
+def _parsed(dest, command, load, *args):
+    """``load(*args)``, or DependencyError naming ``command`` if a file of ``dest`` is missing or does not parse."""
+    try:
+        return load(*args)
+    except (ValueError, FileNotFoundError) as exc:
+        raise DependencyError(f"{dest} is damaged ({exc}); run the `{command}` command again") from exc
+
+
 def _read_record(dest, command):
     """``dest``'s record, read before any other file of a maybe half-written artifact."""
     path = dest / "made_under.json"
@@ -166,7 +177,7 @@ def _read_record(dest, command):
         raise DependencyError(f"{dest} not found; run the `{command}` command first")
     if not path.exists():
         raise DependencyError(f"{path} not found; run the `{command}` command again")
-    return json.loads(path.read_text())
+    return _parsed(dest, command, json.loads, path.read_bytes())
 
 
 def _image_sets(cfg, split, *commands):
@@ -174,16 +185,16 @@ def _image_sets(cfg, split, *commands):
     with ``split`` None), and one (N, H, W) stack of those images per set,
     named by the command that writes it (``synth``, ``degrade`` or
     ``restore``). The dataset's record is checked first, then each set's, all
-    before the manifest is parsed; a mismatch names the set's own command."""
+    before the manifest is parsed; a mismatch or damage names the set's own command."""
     roots = {}
     for command in dict.fromkeys(("synth", *commands)):
         roots[command] = _artifact(cfg, command)
         name = roots[command].relative_to(cfg["output_dir"])
         _check_made_under(name, _made_under(cfg, command), _read_record(roots[command], command), command)
-    manifest = DatasetManifest.load(roots["synth"] / "manifest.json")
+    manifest = _parsed(roots["synth"], "synth", DatasetManifest.load, roots["synth"] / "manifest.json")
     entries = manifest.images if split is None else manifest.split_images(split)
     labels = np.array([im.label for im in entries])
-    return (manifest, labels, *(load_images(roots[command], entries)[0] for command in commands))
+    return (manifest, labels, *(_parsed(roots[c], c, load_images, roots[c], entries)[0] for c in commands))
 
 
 def _load_state(cfg, command, tensors):
@@ -192,7 +203,7 @@ def _load_state(cfg, command, tensors):
     (compared first, so the error names the tensors of another architecture)."""
     dest = _artifact(cfg, command)
     record = _read_record(dest, command)
-    arrays = load_bundle(dest)
+    arrays = _parsed(dest, command, load_bundle, dest)
     _check_made_under(dest, {k: t.shape for k, t in tensors.items()}, {k: a.shape for k, a in arrays.items()}, command)
     _check_made_under(dest, _made_under(cfg, command), record, command)
     for k, t in tensors.items():
@@ -206,25 +217,6 @@ def _check_made_under(dest, want, got, command):
         raise DependencyError(
             f"{dest} was made under another config ({', '.join(differ)} differ); run the `{command}` command again"
         )
-
-
-def _turb_params(cfg, meters=None):
-    t = cfg["turbulence"]
-    overrides = {k: v for k, v in t.items() if k != "intensity_meters"}
-    return init_params(t["intensity_meters"] if meters is None else meters, cfg["dataset"]["image_size"], overrides)
-
-
-def _restore_cfg(cfg, **overrides):
-    r = dict(cfg["restore"])
-    r.update(overrides)
-    return RestoreConfig(**r)
-
-
-def _check_wiener_psf(cfg):
-    """Wiener deconvolves with the degradation PSF, which must fit in the image."""
-    k, size = cfg["turbulence"]["kernel_size"], cfg["dataset"]["image_size"]
-    if k > size:
-        raise ConfigError(f"wiener restoration needs turbulence.kernel_size ({k}) <= dataset.image_size ({size})")
 
 
 def _image_seed(cfg_seed, meters, index):
@@ -257,7 +249,7 @@ def restore_stack(degraded, clean, params, rcfg: RestoreConfig, cfg_seed, seed_s
 
 def cmd_synth(cfg):
     d = cfg["dataset"]
-    check_dataset(d["n_identities"], d["per_identity"], d["image_size"])  # a rejected config keeps the old record
+    check_dataset(**d)  # a rejected config keeps the old record
     with _recording(cfg, "synth") as dest:
         manifest = synth_dataset(dest, **d, seed=cfg["seed"])
     return {"command": "synth", "images": len(manifest.images), "config_hash": config_hash(cfg)}
@@ -265,7 +257,7 @@ def cmd_synth(cfg):
 
 def cmd_degrade(cfg):
     manifest, _, images = _image_sets(cfg, None, "synth")
-    params = _turb_params(cfg)
+    params = turbulence_params(cfg)
     tag = level_tag(params.intensity_meters)
     degraded = degrade_stack(images, params, cfg["seed"])
     prov = {
@@ -283,30 +275,14 @@ def cmd_degrade(cfg):
 
 
 def cmd_restore(cfg):
-    rcfg = _restore_cfg(cfg)
-    if rcfg.mode == "wiener":
-        _check_wiener_psf(cfg)
+    rcfg = restore_config(cfg)
     manifest, _, clean, degraded = _image_sets(cfg, None, "synth", "degrade")
-    params = _turb_params(cfg)
+    params = turbulence_params(cfg)
     restored = restore_stack(degraded, clean, params, rcfg, cfg["seed"])
     with _recording(cfg, "restore") as dest:
         for entry, img in zip(manifest.images, restored):
             save_tensor(dest / entry.path, img)
     return {"command": "restore", "level": level_tag(params.intensity_meters), "images": len(manifest.images)}
-
-
-def _backbone_cfg(cfg):
-    b = cfg["backbone"]
-    return BackboneConfig(
-        image_size=cfg["dataset"]["image_size"],
-        channels=tuple(b["channels"]),
-        kernel=b["kernel"],
-        embed_dim=b["embed_dim"],
-    )
-
-
-def _margin(cfg):
-    return MarginParams(**cfg["loss"])
 
 
 @contextlib.contextmanager
@@ -321,13 +297,12 @@ def _keeping_diverged(dest):
 
 
 def cmd_pretrain(cfg):
-    b = cfg["backbone"]
-    # a meaningless schedule exits 2 before any artifact is read
-    fit_cfg = FitConfig(batch_size=b["batch_size"], epochs=b["epochs"], lr_base=b["lr"], warmup_steps=b["warmup_steps"])
+    # a meaningless architecture, loss or schedule exits 2 before any artifact is read
+    bcfg, margin, fit_cfg = backbone_config(cfg), margin_params(cfg), pretrain_config(cfg)
     parent = _artifact(cfg, "pretrain").parent
     _, labels, images = _image_sets(cfg, "train", "synth")
     with _keeping_diverged(parent):
-        result = pretrain(images, labels, _backbone_cfg(cfg), _margin(cfg), fit_cfg, seed=cfg["seed"])
+        result = pretrain(images, labels, bcfg, margin, fit_cfg, seed=cfg["seed"])
     with _recording(cfg, "pretrain") as dest:
         save_bundle(dest, result.params.tensors())
     first, last = result.loss_history[0], result.loss_history[-1]
@@ -338,27 +313,20 @@ def cmd_pretrain(cfg):
 
 def _load_backbone(cfg):
     """The pretrained backbone, frozen."""
-    params = BackboneParams.init(np.random.default_rng(0), _backbone_cfg(cfg), trainable=False)
+    params = BackboneParams.init(np.random.default_rng(0), backbone_config(cfg), trainable=False)
     _load_state(cfg, "pretrain", params.tensors())
     return params
 
 
-def _fusion_cfg(cfg):
-    return FusionConfig(d_model=cfg["backbone"]["embed_dim"], **cfg["fusion"])
-
-
-def _train_cfg(cfg, **overrides):
-    return TrainConfig(**{**cfg["train"], "seed": cfg["seed"], **overrides})
-
-
 def cmd_train(cfg):
-    tcfg = _train_cfg(cfg)  # a strategy that trains nothing exits 2 before any artifact is read
+    # a strategy that trains nothing, or a meaningless schedule, fusion or loss, exits 2 before any artifact is read
+    tcfg, fcfg, margin = train_config(cfg), fusion_config(cfg), margin_params(cfg)
     parent = _artifact(cfg, "train").parent
     _, labels, lq, restored = _image_sets(cfg, "train", "degrade", "restore")
     frozen = _load_backbone(cfg)
     before = frozen.state_bytes()
     with _keeping_diverged(parent):
-        result = train_adapter(lq, restored, labels, frozen, _fusion_cfg(cfg), _margin(cfg), tcfg)
+        result = train_adapter(lq, restored, labels, frozen, fcfg, margin, tcfg)
     if frozen.state_bytes() != before:
         raise TrainingError(f"freeze contract broken: {tcfg.strategy} training changed the frozen backbone")
     with _recording(cfg, "train") as dest:
@@ -376,7 +344,7 @@ def cmd_train(cfg):
 def _load_train_result(cfg, frozen):
     """Trained state of the run's strategy, ``finetune_restored`` or ``adapter_joint``."""
     strategy = cfg["train"]["strategy"]
-    state = init_state(strategy, frozen, _fusion_cfg(cfg), cfg["dataset"]["n_identities"], np.random.default_rng(0))
+    state = init_state(strategy, frozen, fusion_config(cfg), cfg["dataset"]["n_identities"], np.random.default_rng(0))
     _load_state(cfg, "train", state.tensors())
     return state
 
@@ -396,6 +364,12 @@ def pair_scores(fn, pn, index_a, index_b):
     multiply-then-sum do not.
     """
     return (fn[index_a][:, None, :] @ pn[index_b][:, :, None])[:, 0, 0].astype(np.float64)
+
+
+def _check_test_split(cfg):
+    """Evaluation scores pairs of the test split: an empty one exits 2 before any artifact is read."""
+    if (n := cfg["dataset"]["n_test_identities"]) < 1:
+        raise ConfigError(f"dataset.n_test_identities must be at least 1 to evaluate, got {n}")
 
 
 def verification_pairs(cfg, manifest):
@@ -455,6 +429,7 @@ def cmd_eval(cfg):
     strategy = cfg["train"]["strategy"]
     if strategy not in STRATEGIES:  # before any artifact is read
         raise ConfigError(f"train.strategy must be one of {STRATEGIES}, got {strategy!r}")
+    _check_test_split(cfg)
     # baseline_lq reads no restored image; every strategy loads the degraded set, whose length is the probe count
     sets = ("synth", "degrade") if strategy == "baseline_lq" else ("synth", "degrade", "restore")
     manifest, labels_test, clean_test, lq_test, *restored = _image_sets(cfg, "test", *sets)
@@ -495,7 +470,7 @@ def full_pipeline_gradcheck(fcfg: FusionConfig, dtype, eps, samples_per_tensor, 
     fp = FusionParams.init(rng, fcfg, dtype=dtype)
     head = ClassifierHead.init(rng, n_classes, fcfg.d_model, dtype=dtype)
     head.weights.data[...] = rng.standard_normal((n_classes, fcfg.d_model)) * 0.1
-    margin = MarginParams(1.0, 0.5, 0.0, 16.0)
+    margin = MarginParams()
     lq = rng.random((batch, 8, 8))
     hq_imgs = rng.random((batch, 8, 8)).astype(dtype)
     labels = rng.integers(0, n_classes, batch)
@@ -585,7 +560,7 @@ class _AblateInputs:
     def degraded(self, split, meters):
         key = (split, float(meters))
         if key not in self._degraded:
-            params = _turb_params(self.cfg, meters=meters)
+            params = turbulence_params(self.cfg, meters=meters)
             self._degraded[key] = degrade_stack(self.clean[split], params, self.cfg["seed"])
         return self._degraded[key]
 
@@ -595,7 +570,7 @@ class _AblateInputs:
         restored only when a cell trains; ``train`` overrides the run's train
         config for every cell that does."""
         cfg = self.cfg
-        params = _turb_params(cfg, meters=cond.meters)
+        params = turbulence_params(cfg, meters=cond.meters)
         data = {}
         for split in ("train", "test") if any(s in TRAINED for s, _ in cells) else ("test",):
             lq = self.degraded(split, cond.meters)
@@ -607,8 +582,8 @@ class _AblateInputs:
         for strategy, fcfg in cells:
             result = None
             if strategy in TRAINED:
-                tcfg = _train_cfg(cfg, strategy=strategy, **train)
-                result = train_adapter(*data["train"], self.labels["train"], self.frozen, fcfg, _margin(cfg), tcfg)
+                tcfg = train_config(cfg, strategy=strategy, **train)
+                result = train_adapter(*data["train"], self.labels["train"], self.frozen, fcfg, margin_params(cfg), tcfg)
             report, _ = evaluate_strategy(
                 cfg, strategy, self.pairs, self.frozen, result, self.gallery, *data["test"], self.labels["test"]
             )
@@ -618,14 +593,14 @@ class _AblateInputs:
 
 def _table3_condition(cfg, salt):
     ab = cfg["ablations"]
-    return Condition(ab["table3_intensity"], _restore_cfg(cfg, artifact_sigma=ab["table3_artifact_sigma"]), salt)
+    return Condition(ab["table3_intensity"], restore_config(cfg, artifact_sigma=ab["table3_artifact_sigma"]), salt)
 
 
 def _table3(inputs, conds):
     """Every strategy per seed, each seed salting restoration and seeding training."""
     cfg = inputs.cfg
     ab = cfg["ablations"]
-    cells = [(s, _fusion_cfg(cfg)) for s in STRATEGIES]
+    cells = [(s, fusion_config(cfg)) for s in STRATEGIES]
     by_seed = [inputs.run(cond, cells, seed=cond.salt)[0] for cond in conds]
     table = []
     for strategy, reports in zip(STRATEGIES, zip(*by_seed)):
@@ -648,7 +623,7 @@ def _fusion_grid_variants(cfg):
     """(name, FusionConfig) of each fusion-grid row: the run's fusion config with
     one switch set from an ablation list, in list order, each distinct one once."""
     ab = cfg["ablations"]
-    base = _fusion_cfg(cfg)
+    base = fusion_config(cfg)
     variants = []
     for values, label, field in (
         (ab["residual"], "residual", "use_residual"),
@@ -690,8 +665,8 @@ def _fusion_grid(inputs, conds):
 
 def _restorer_conditions(cfg):
     """One oracle blend per ``ablations.restore_ws`` weight, then Wiener, at the run's intensity."""
-    rcfgs = [_restore_cfg(cfg, mode="oracle_blend", fidelity_w=w) for w in cfg["ablations"]["restore_ws"]]
-    return [Condition(cfg["turbulence"]["intensity_meters"], r, 0) for r in rcfgs + [_restore_cfg(cfg, mode="wiener")]]
+    rcfgs = [restore_config(cfg, mode="oracle_blend", fidelity_w=w) for w in cfg["ablations"]["restore_ws"]]
+    return [Condition(cfg["turbulence"]["intensity_meters"], r, 0) for r in rcfgs + [restore_config(cfg, mode="wiener")]]
 
 
 def _restorer_sweep(inputs, conds):
@@ -745,15 +720,14 @@ def cmd_ablate(cfg):
         raise ConfigError(f"ablations.parts: unknown {unknown}; choose from {list(ABLATION_PARTS)}")
     if "table3" in parts and not ab["table3_seeds"]:
         raise ConfigError("ablations.table3_seeds: the table3 part needs at least one seed")
-    # a bad restorer config, intensity or Wiener PSF exits 2 before any part runs
+    _check_test_split(cfg)
+    # a bad restorer config (a Wiener PSF that does not fit included) or intensity exits 2 before any part runs
     conditions = {part: ABLATION_PARTS[part][0](cfg) for part in parts}
     for cond in (cond for conds in conditions.values() for cond in conds):
-        _turb_params(cfg, meters=cond.meters)
-        if cond.restore is not None and cond.restore.mode == "wiener":
-            _check_wiener_psf(cfg)
+        turbulence_params(cfg, meters=cond.meters)
     if "fusion_grid" in parts:  # so does a bad grid switch or grid_epochs, built as the grid's cells build them
         _fusion_grid_variants(cfg)
-        _train_cfg(cfg, strategy="adapter_joint", epochs=ab["grid_epochs"])
+        train_config(cfg, strategy="adapter_joint", epochs=ab["grid_epochs"])
     inputs = _AblateInputs(cfg, _load_backbone(cfg))
     results = {"command": "ablate", "config_hash": config_hash(cfg), "version": version_string()}
     for section, (_, part) in ABLATION_PARTS.items():

@@ -29,7 +29,7 @@ class MarginParams:
     m1: float = 1.0
     m2: float = 0.5
     m3: float = 0.0
-    s: float = 64.0
+    s: float = 16.0
 
     def __post_init__(self):
         if self.s <= 0:

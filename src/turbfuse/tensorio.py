@@ -9,7 +9,6 @@ plus an ``index.json`` mapping logical names to file names.
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ def save_tensor(path, array):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
+        fh.write(len(header).to_bytes(4, "little"))
         fh.write(header)
         fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
@@ -43,7 +42,7 @@ def load_tensor(path):
         magic = fh.read(4)
         if magic != MAGIC:
             raise ContractError(f"{path}: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
+        hlen = int.from_bytes(fh.read(4), "little")  # a cut length field reads short and fails below
         header = json.loads(fh.read(hlen).decode("utf-8"))
         dtype = _DTYPES.get(header.get("dtype"))
         if dtype is None:

@@ -27,22 +27,18 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-# Cn2 calibrated so D_ap/r0 = 2 at L = 10 km with the default aperture and
-# wavelength; the 10k..40k ladder then spans D/r0 in [2.0, 4.6].
-DEFAULT_CN2 = 2.4322e-16
-DEFAULT_WAVELENGTH = 525e-9
-DEFAULT_APERTURE = 0.1
-
 INTENSITY_LEVELS = (10_000.0, 20_000.0, 30_000.0, 40_000.0)
 
 
 @dataclass
 class TurbulenceParams:
-    intensity_meters: float
     image_size: int
-    aperture_diameter: float = DEFAULT_APERTURE
-    wavelength: float = DEFAULT_WAVELENGTH
-    cn2: float = DEFAULT_CN2
+    intensity_meters: float = 20_000.0
+    aperture_diameter: float = 0.1
+    wavelength: float = 525e-9
+    # calibrated so D_ap/r0 = 2 at L = 10 km with the default aperture and
+    # wavelength; the 10k..40k ladder then spans D/r0 in [2.0, 4.6]
+    cn2: float = 2.4322e-16
     n_zernike: int = 33  # Noll modes 4 .. 4+n-1 (piston/tilt excluded)
     outer_scale_m: float = 10.0
     pixel_pitch_m: float = 0.05  # object-plane m/px at range L: tilt PSD grid and angle->px

@@ -310,6 +310,57 @@ def test_eval_on_a_dataset_of_the_older_layout_exits_3(trained, tmp_path, capsys
     assert "run the `synth` command again" in err
 
 
+FAT_DAMAGE = {
+    "cut_payload": lambda raw: raw[:-4],
+    "bad_magic": lambda raw: b"FAT0" + raw[4:],
+    "empty": lambda raw: b"",
+    "cut_length": lambda raw: raw[:6],
+    "cut_header": lambda raw: raw[: 8 + int.from_bytes(raw[4:8], "little") // 2],
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(FAT_DAMAGE))
+@pytest.mark.parametrize("kind, made_by", [("degraded/20k", "degrade"), ("pretrain/backbone", "pretrain")])
+def test_a_damaged_tensor_under_an_intact_record_exits_3(trained, tmp_path, kind, made_by, damage, capsys):
+    path, out = trained
+    for sub in ("dataset", "degraded", "restored", "pretrain", "train"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    if kind == "degraded/20k":  # an image of the test split, the one eval reads
+        test_images = DatasetManifest.load(tmp_path / "dataset" / "manifest.json").split_images("test")
+        target = tmp_path / kind / test_images[0].path
+    else:
+        target = tmp_path / kind / "conv0_w.fat"
+    if FAT_DAMAGE[damage] is None:
+        target.unlink()
+    else:
+        target.write_bytes(FAT_DAMAGE[damage](target.read_bytes()))
+    assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{kind} is damaged" in err and f"run the `{made_by}` command again" in err
+
+
+@pytest.mark.parametrize(
+    "name, made_by",
+    [
+        ("dataset/manifest.json", "synth"),
+        ("dataset/made_under.json", "synth"),
+        ("degraded/20k/made_under.json", "degrade"),
+        ("pretrain/backbone/index.json", "pretrain"),
+        ("train/adapter_joint/checkpoint/made_under.json", "train"),
+    ],
+)
+def test_a_cut_json_file_exits_3(trained, tmp_path, name, made_by, capsys):
+    path, out = trained
+    for sub in ("dataset", "degraded", "restored", "pretrain", "train"):
+        shutil.copytree(out / sub, tmp_path / sub)
+    text = (tmp_path / name).read_text()
+    (tmp_path / name).write_text(text[: len(text) // 2])
+    assert main(["eval", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{Path(name).parent} is damaged" in err and f"run the `{made_by}` command again" in err
+
+
 def test_degrade_at_a_nearby_intensity_leaves_the_other_set_alone(trained, tmp_path, capsys):
     # 20,400 m has its own directory, not the 20,000 m set's
     path, out = trained
@@ -352,6 +403,25 @@ def test_eval_of_an_unknown_strategy_exits_2_before_reading(config_path, tmp_pat
     assert main(argv) == 2
     assert "train.strategy" in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize(
+    "cmd, setting, named",
+    [
+        ("eval", "dataset.n_test_identities=0", "dataset.n_test_identities"),
+        ("eval", "dataset.n_test_identities=-1", "dataset.n_test_identities"),
+        ("ablate", "dataset.n_test_identities=0", "dataset.n_test_identities"),
+        ("pretrain", "backbone.embed_dim=0", "embed_dim"),
+        ("train", "fusion.cascade_depth=0", "cascade_depth"),
+        ("train", "loss.m1=0.5", "m1"),
+    ],
+)
+def test_a_meaningless_split_or_model_setting_exits_2_before_reading(config_path, tmp_path, cmd, setting, named, capsys):
+    # the output directory is empty: reading anything would exit 3 instead
+    out = tmp_path / "out"
+    assert main([cmd, "--config", str(config_path), "--out", str(out), "--set", setting]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_writes_the_score_and_label_of_every_pair(trained):
@@ -535,6 +605,8 @@ def test_the_image_commands_run_without_scipy_installed(tmp_path):
         ("pretrain", "backbone.channels", "[]"),
         ("synth", "dataset.image_size", "-4"),
         ("synth", "dataset.image_size", "0"),
+        ("synth", "dataset.n_test_identities", "-1"),
+        ("synth", "dataset.test_per_identity", "0"),  # would write a test split of no images
         ("restore", "restore.artifact_smooth_px", "-1"),  # would write unsmoothed white-noise artifacts
         ("train", "train.poly_power", "-1"),  # the rate would grow toward the last step
         ("train", "train.warmup_steps", "-5"),  # would skip the warmup

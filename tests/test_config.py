@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from turbfuse import config
 from turbfuse.cli import main
-from turbfuse.config import load_config
+from turbfuse.config import DEFAULTS, config_hash, load_config
 from turbfuse.errors import ConfigError
 
 
@@ -99,3 +100,88 @@ def test_config_error_exits_2_through_the_cli(tmp_path, capsys, command, args, m
     assert main([command, "--out", str(out), *args]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_defaults_hash_to_the_pinned_value():
+    # DEFAULTS takes six sections from dataclass defaults: a changed default changes every run's record
+    assert load_config() == DEFAULTS
+    assert config_hash(DEFAULTS) == "1a41e66416b6c29f"
+
+
+# a valid value unlike the default for every key of each section built from a dataclass
+DERIVED = {
+    "turbulence": {
+        "intensity_meters": 30000.0,
+        "aperture_diameter": 0.2,
+        "wavelength": 600e-9,
+        "cn2": 1e-15,
+        "n_zernike": 12,
+        "outer_scale_m": 20.0,
+        "pixel_pitch_m": 0.1,
+        "fft_size": 64,
+        "pupil_px": 16,
+        "kernel_size": 15,
+    },
+    "restore": {"mode": "wiener", "fidelity_w": 0.25, "artifact_sigma": 0.1, "artifact_smooth_px": 2.0, "wiener_nsr": 0.05},
+    "backbone": {
+        "channels": [4, 8],
+        "kernel": 5,
+        "embed_dim": 32,
+        "epochs": 2,
+        "batch_size": 16,
+        "lr": 0.05,
+        "warmup_steps": 10,
+    },
+    "fusion": {
+        "ffn_hidden": 128,
+        "attention_order": "self_first",
+        "role_variant": "b",
+        "cascade_depth": 3,
+        "use_residual": False,
+        "block_norm": False,
+    },
+    "loss": {"m1": 1.5, "m2": 0.25, "m3": 0.1, "s": 32.0},
+    "train": {
+        "batch_size": 16,
+        "epochs": 3,
+        "lr_base": 0.05,
+        "momentum": 0.5,
+        "weight_decay": 0.001,
+        "warmup_steps": 10,
+        "poly_power": 1.0,
+        "strategy": "finetune_restored",
+    },
+}
+# section -> the builders of the objects that read it; the one key that is not its field's name
+BUILDERS = {
+    "turbulence": (config.turbulence_params,),
+    "restore": (config.restore_config,),
+    "backbone": (config.backbone_config, config.pretrain_config),
+    "fusion": (config.fusion_config,),
+    "loss": (config.margin_params,),
+    "train": (config.train_config,),
+}
+FIELDS = {"backbone.lr": "lr_base"}
+
+
+def test_the_derived_sections_are_those_with_builders():
+    assert DERIVED.keys() == BUILDERS.keys()
+    for section, values in DERIVED.items():
+        assert values.keys() == DEFAULTS[section].keys(), section
+
+
+@pytest.mark.parametrize("key", [f"{s}.{k}" for s, values in DERIVED.items() for k in values])
+def test_every_key_of_a_derived_section_reaches_its_builders_object(key):
+    # a dataclass field is a config key by its default alone: one no builder passes on would be dead
+    section, _, name = key.partition(".")
+    value = DERIVED[section][name]
+    assert value != DEFAULTS[section][name]
+
+    def read_back(cfg):
+        field = FIELDS.get(key, name)
+        got = [getattr(obj, field) for obj in (build(cfg) for build in BUILDERS[section]) if hasattr(obj, field)]
+        assert len(got) == 1, got
+        return list(got[0]) if isinstance(got[0], tuple) else got[0]
+
+    assert read_back(DEFAULTS) == DEFAULTS[section][name]
+    assert read_back(load_config(sets=[f"{key}={json.dumps(value)}"])) == value

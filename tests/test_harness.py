@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from turbfuse import harness
-from turbfuse.config import DEFAULTS, load_config
+from turbfuse.config import DEFAULTS, fusion_config, load_config, margin_params, train_config, turbulence_params
 from turbfuse.datagen import GENERATOR_VERSION
 from turbfuse.errors import TrainingError
 from turbfuse.fusion import FusionConfig
-from turbfuse.harness import _turb_params, cmd_degrade, cmd_pretrain, cmd_restore, cmd_synth, cmd_train
+from turbfuse.harness import cmd_degrade, cmd_pretrain, cmd_restore, cmd_synth, cmd_train
 from turbfuse.trainer import probe_embeddings
 
 
@@ -91,7 +91,7 @@ class TestDegradeProvenance:
         cmd_synth(tiny_cfg)
         report = cmd_degrade(tiny_cfg)
         prov = json.loads((tmp_path / "degraded" / report["level"] / "provenance.json").read_text())
-        params = _turb_params(tiny_cfg)
+        params = turbulence_params(tiny_cfg)
         assert prov["tilt_rms_px"] == pytest.approx(params.tilt_rms_px, rel=1e-12)
         assert prov["d_over_r0"] == pytest.approx(params.d_over_r0, rel=1e-12)
         # the seed and the turbulence config are in made_under.json
@@ -169,7 +169,7 @@ class TestEvaluateStrategy:
         )
         deep_cfg = json.loads(json.dumps(tiny_cfg))
         deep_cfg["fusion"]["cascade_depth"] = 3
-        args = (frozen, harness._fusion_cfg(deep_cfg), harness._margin(tiny_cfg), harness._train_cfg(tiny_cfg))
+        args = (frozen, fusion_config(deep_cfg), margin_params(tiny_cfg), train_config(tiny_cfg))
         result = harness.train_adapter(lq, restored, labels, *args)
 
         gallery = harness.gallery_embeddings(clean_test, frozen)
@@ -185,7 +185,7 @@ class TestEvaluateStrategy:
         assert scores(tiny_cfg, result) == scores(deep_cfg, result)
         assert result.fusion_params.cfg.cascade_depth == 3
         # the same weights run at cascade 1 score differently, so the check above can fail
-        shallow = dataclasses.replace(result.fusion_params, cfg=harness._fusion_cfg(tiny_cfg))
+        shallow = dataclasses.replace(result.fusion_params, cfg=fusion_config(tiny_cfg))
         assert scores(tiny_cfg, dataclasses.replace(result, fusion_params=shallow)) != scores(deep_cfg, result)
 
 
@@ -220,7 +220,7 @@ class TestFusionGrid:
         cfg = load_config(sets=sets)
         variants = harness._fusion_grid_variants(cfg)
         assert [name for name, _ in variants] == names
-        base = harness._fusion_cfg(cfg)
+        base = fusion_config(cfg)
         fields = {"residual": "use_residual", "cascade": "cascade_depth", "order": "attention_order", "variant": "role_variant"}
         for name, fcfg in variants:
             label, value = name.split("=")
@@ -246,10 +246,26 @@ class TestFusionGrid:
 
 class TestVersionString:
     def test_independent_of_cwd(self, tmp_path, monkeypatch):
+        # the value is cached per process: clear it so each call runs git from its own directory
         monkeypatch.chdir(Path(harness.__file__).resolve().parent)
+        harness.version_string.cache_clear()
         from_package = harness.version_string()
         monkeypatch.chdir(tmp_path)
+        harness.version_string.cache_clear()
         assert harness.version_string() == from_package
+
+    def test_runs_git_once_per_process(self, monkeypatch):
+        calls = []
+        real = harness.subprocess.run
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(harness.subprocess, "run", counting)
+        harness.version_string.cache_clear()
+        assert harness.version_string() == harness.version_string()
+        assert len(calls) == 1
 
 
 class TestPairScores:
